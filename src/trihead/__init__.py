@@ -35,7 +35,7 @@ from .errors import (
     NonFiniteError,
 )
 from .metrics import MetricsReport, TriLabel, score_triples
-from .pooling import attention_pool, classify, mean_pool, predict_labels
+from .pooling import attention_pool, mean_pool, predict_labels
 from .textpipe import EmojiMap, Vocab, balance, batch_encode, build_vocab, normalize
 from .train import Checkpoint, EncoderInit, TrainConfig, evaluate, predict, train
 
@@ -62,7 +62,6 @@ __all__ = [
     "TriLabel",
     "score_triples",
     "attention_pool",
-    "classify",
     "mean_pool",
     "predict_labels",
     "EmojiMap",

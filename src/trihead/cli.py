@@ -17,7 +17,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .data import (
@@ -45,44 +44,47 @@ from .train import (
 )
 
 
-@dataclass
-class RunConfig:
-    """Union of everything a command can be told, flat on purpose so the
-    JSON file stays a single skimmable object."""
-
-    # encoder shape
-    d_model: int = 64
-    n_layers: int = 2
-    n_heads: int = 2
-    d_ff: int = 128
-    max_len: int = 48
-    dropout_p: float = 0.3
-    # fine-tuning
-    epochs: int = 5
-    batch_size: int = 8
-    base_lr: float = 2e-5
-    warmup_steps: int = 0
-    seed: int = 42
-    pooler: str = "attention"
-    task_loss_weights: tuple = (1.0, 1.0, 1.0)
-    freeze: tuple = ()
-    # text pipeline
-    vocab_target_size: int = 200
-    balance: bool = False
-    # masked-token pretraining
-    pretrain_steps: int = 300
-    pretrain_batch_size: int = 8
-    pretrain_lr: float = 1e-3
-    pretrain_mask_rate: float = 0.15
-    # paths
-    data: str | None = None
-    dev: str | None = None
-    emoji_map: str | None = None
-    encoder: str | None = None
-    out: str | None = None
+# Config keys the PretrainSchedule fields go by; its warmup_steps and seed
+# share the fine-tuning keys.
+_PRETRAIN_KEYS = {"steps": "pretrain_steps", "batch_size": "pretrain_batch_size",
+                  "base_lr": "pretrain_lr", "mask_rate": "pretrain_mask_rate"}
 
 
-_CONFIG_KEYS = {f.name for f in dataclasses.fields(RunConfig)}
+def _field_defaults(cls, keys=None) -> dict:
+    keys = keys or {}
+    return {keys.get(f.name, f.name): f.default for f in dataclasses.fields(cls)}
+
+
+# Union of everything a command can be told, flat on purpose so the JSON
+# file stays a single skimmable object. Each library config owns its
+# defaults; on a shared key the fine-tuning default wins, so pretrain
+# without --seed uses TrainConfig's seed. Only the keys at the end have
+# defaults of their own.
+_DEFAULTS = {
+    **_field_defaults(PretrainSchedule, _PRETRAIN_KEYS),
+    **_field_defaults(EncoderConfig),
+    **_field_defaults(TrainConfig),
+    "epochs": 5,
+    "vocab_target_size": 200,
+    "balance": False,
+    "data": None, "dev": None, "emoji_map": None, "encoder": None, "out": None,
+}
+del _DEFAULTS["vocab_size"]
+
+RunConfig = dataclasses.make_dataclass(
+    "RunConfig",
+    [(k, object, dataclasses.field(default=v)) for k, v in _DEFAULTS.items()],
+)
+
+_CONFIG_KEYS = set(_DEFAULTS)
+
+
+def _library_config(cls, cfg: RunConfig, keys=None, **given):
+    """cls built from the run config's values for its fields."""
+    keys = keys or {}
+    values = {f.name: getattr(cfg, keys.get(f.name, f.name))
+              for f in dataclasses.fields(cls) if f.name not in given}
+    return cls(**values, **given)
 
 
 def _load_run_config(config_path, flag_values: dict) -> RunConfig:
@@ -105,12 +107,7 @@ def _load_run_config(config_path, flag_values: dict) -> RunConfig:
         merged.update(file_values)
     merged.update({k: v for k, v in flag_values.items()
                    if k in _CONFIG_KEYS and v is not None})
-    cfg = RunConfig(**merged)
-    for name in ("task_loss_weights", "freeze"):
-        value = getattr(cfg, name)
-        if isinstance(value, list):
-            setattr(cfg, name, tuple(value))
-    return cfg
+    return RunConfig(**merged)
 
 
 def _require(cfg: RunConfig, field: str, flag: str) -> str:
@@ -128,32 +125,6 @@ def _print_report(report, seed: int) -> None:
 
 def _load_emoji_map(cfg: RunConfig):
     return EmojiMap.from_tsv(cfg.emoji_map) if cfg.emoji_map else None
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    return TrainConfig(
-        epochs=cfg.epochs,
-        batch_size=cfg.batch_size,
-        dropout_p=cfg.dropout_p,
-        base_lr=cfg.base_lr,
-        warmup_steps=cfg.warmup_steps,
-        seed=cfg.seed,
-        pooler=cfg.pooler,
-        task_loss_weights=tuple(cfg.task_loss_weights),
-        freeze=tuple(cfg.freeze),
-    )
-
-
-def _encoder_config(cfg: RunConfig, vocab_size: int) -> EncoderConfig:
-    return EncoderConfig(
-        vocab_size=vocab_size,
-        d_model=cfg.d_model,
-        n_layers=cfg.n_layers,
-        n_heads=cfg.n_heads,
-        d_ff=cfg.d_ff,
-        max_len=cfg.max_len,
-        dropout_p=cfg.dropout_p,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -178,12 +149,13 @@ def cmd_train(args) -> int:
     else:
         texts = [normalize(ex.text, emoji_map=emoji_map) for ex in dataset]
         vocab = build_vocab(texts, target_size=cfg.vocab_target_size)
-        init = EncoderInit(config=_encoder_config(cfg, vocab.size), vocab=vocab)
+        config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
+        init = EncoderInit(config=config, vocab=vocab)
 
     if cfg.balance:
         dataset = balance(dataset, seed=cfg.seed)
 
-    result = train(dataset, _train_config(cfg), init, dev=dev,
+    result = train(dataset, _library_config(TrainConfig, cfg), init, dev=dev,
                    emoji_map=emoji_map)
 
     if cfg.out:
@@ -226,16 +198,12 @@ def cmd_score(args) -> int:
     cfg = _load_run_config(args.config, vars(args))
     gold = load_labels(args.gold)
     pred = load_labels(args.pred)
-    missing = [i for i in gold if i not in pred]
-    if missing:
-        shown = ", ".join(repr(i) for i in missing[:10])
-        more = f" (+{len(missing) - 10} more)" if len(missing) > 10 else ""
-        raise DataError(f"{args.pred}: missing predictions for ids {shown}{more}")
-    extra = [i for i in pred if i not in gold]
-    if extra:
-        shown = ", ".join(repr(i) for i in extra[:10])
-        more = f" (+{len(extra) - 10} more)" if len(extra) > 10 else ""
-        raise DataError(f"{args.pred}: predictions for unknown ids {shown}{more}")
+    for ids, what in (([i for i in gold if i not in pred], "missing predictions for ids"),
+                      ([i for i in pred if i not in gold], "predictions for unknown ids")):
+        if ids:
+            shown = ", ".join(repr(i) for i in ids[:10])
+            more = f" (+{len(ids) - 10} more)" if len(ids) > 10 else ""
+            raise DataError(f"{args.pred}: {what} {shown}{more}")
     ids = list(gold)
     report = score_triples([gold[i] for i in ids], [pred[i] for i in ids])
     _print_report(report, cfg.seed)
@@ -266,15 +234,8 @@ def cmd_pretrain(args) -> int:
         raise DataError(f"{corpus_path}: no usable sentences")
 
     vocab = build_vocab(sentences, target_size=cfg.vocab_target_size)
-    config = _encoder_config(cfg, vocab.size)
-    schedule = PretrainSchedule(
-        steps=cfg.pretrain_steps,
-        batch_size=cfg.pretrain_batch_size,
-        base_lr=cfg.pretrain_lr,
-        warmup_steps=cfg.warmup_steps,
-        mask_rate=cfg.pretrain_mask_rate,
-        seed=cfg.seed,
-    )
+    config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
+    schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
     params, losses = pretrain_mlm(sentences, vocab, config, schedule)
 
     out = Path(_require(cfg, "out", "--out"))

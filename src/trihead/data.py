@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import Tensor
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, init_encoder_params
 from .errors import CheckpointFormatError, DataError
 from .metrics import TriLabel
 from .textpipe import Vocab
-from .train import Checkpoint
+from .train import POOLER_KINDS, Checkpoint, init_model_params, param_table_mismatch
 
 DATASET_HEADER = ("id", "text", "aggression", "gender", "communal")
 PREDICTION_HEADER = ("id", "text")
@@ -192,18 +192,6 @@ def class_distribution(dataset) -> DistributionTable:
 # checkpoint file format
 
 
-def _config_to_dict(config: EncoderConfig) -> dict:
-    return {
-        "vocab_size": config.vocab_size,
-        "d_model": config.d_model,
-        "n_layers": config.n_layers,
-        "n_heads": config.n_heads,
-        "d_ff": config.d_ff,
-        "max_len": config.max_len,
-        "dropout_p": config.dropout_p,
-    }
-
-
 def save_checkpoint(checkpoint: Checkpoint, path) -> None:
     """Write the single-file format described at module top. Parameters must
     be float32 (the training dtype); the blobs are raw and bit-exact."""
@@ -215,7 +203,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
             raise DataError(f"checkpoint parameter {name!r} contains NaN or Inf")
     header = {
         "kind": checkpoint.kind,
-        "encoder_config": _config_to_dict(checkpoint.config),
+        "encoder_config": asdict(checkpoint.config),
         "vocab": list(checkpoint.vocab.tokens),
         "pooler": checkpoint.pooler_kind,
         "params": [{"name": n, "shape": list(t.shape)}
@@ -258,8 +246,18 @@ def load_checkpoint(path) -> Checkpoint:
     missing = required - set(header)
     if missing:
         raise CheckpointFormatError(f"{path}: header missing keys {sorted(missing)}")
-    if header["kind"] not in ("model", "encoder"):
-        raise CheckpointFormatError(f"{path}: unknown checkpoint kind {header['kind']!r}")
+    kind, pooler = header["kind"], header["pooler"]
+    if kind not in ("model", "encoder"):
+        raise CheckpointFormatError(f"{path}: unknown checkpoint kind {kind!r}")
+    poolers = POOLER_KINDS if kind == "model" else ("none",)
+    if pooler not in poolers:
+        raise CheckpointFormatError(
+            f"{path}: {kind} checkpoint has pooler {pooler!r}, expected one of {poolers}"
+        )
+    if not isinstance(header["meta"], dict):
+        raise CheckpointFormatError(
+            f"{path}: meta must be a JSON object, got {type(header['meta']).__name__}"
+        )
 
     try:
         config = EncoderConfig(**header["encoder_config"])
@@ -291,6 +289,10 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after parameter data"
         )
-    return Checkpoint(kind=header["kind"], config=config, vocab=vocab,
-                      pooler_kind=header["pooler"], params=params,
-                      meta=header["meta"])
+    expected = (init_model_params(config, pooler, 0) if kind == "model"
+                else init_encoder_params(config, 0))
+    problem = param_table_mismatch(expected, params)
+    if problem:
+        raise CheckpointFormatError(f"{path}: {problem}")
+    return Checkpoint(kind=kind, config=config, vocab=vocab, pooler_kind=pooler,
+                      params=params, meta=header["meta"])

@@ -13,10 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autograd import Tensor, add, dropout, matmul, reshape, softmax
-from .errors import ConfigError
+from .encoder import NEG_INF
 from .metrics import TASK_LABELS, TASKS
-
-NEG_INF = -1e9
 
 
 @dataclass
@@ -126,18 +124,6 @@ def mean_pool(h: Tensor, mask: np.ndarray) -> Tensor:
     b, l, d = h.shape
     weights = Tensor(_uniform_weights(mask, h.data.dtype).reshape(b, 1, l), dtype=h.dtype)
     return reshape(matmul(weights, h), (b, d))
-
-
-def classify(pooled: Tensor, heads: dict) -> dict:
-    """Per-task probability tensors keyed by task name."""
-    missing = [t for t in TASKS if t not in heads]
-    if missing:
-        raise ConfigError(f"classify: missing heads for {missing}")
-    probs = {}
-    for task in TASKS:
-        head = heads[task]
-        probs[task] = softmax(add(matmul(pooled, head.w), head.b), axis=-1)
-    return probs
 
 
 def logits_for(pooled: Tensor, head: TaskHead) -> Tensor:

@@ -26,8 +26,7 @@ from .errors import (
     NonFiniteError,
 )
 from .metrics import TASK_LABELS, TASKS, MetricsReport, TriLabel, score_triples
-from .optim import AdamW, clip_global_norm
-from .optim import lr_at as lr_at  # schedule shape is tested through this module
+from .optim import AdamW, clip_global_norm, lr_at
 from .pooling import (
     AttentionPoolerParams,
     TaskHead,
@@ -173,6 +172,22 @@ def init_model_params(config: EncoderConfig, pooler_kind: str, seed) -> dict:
     return flat
 
 
+def param_table_mismatch(expected: dict, given: dict, partial: bool = False):
+    """What keeps the name → Tensor table given from matching expected's
+    names and shapes, or None when it matches. partial allows given to
+    leave names out."""
+    for name, tensor in given.items():
+        if name not in expected:
+            return f"unexpected parameter {name!r}"
+        if tensor.shape != expected[name].shape:
+            return (f"parameter {name!r} has shape {tensor.shape}, "
+                    f"expected {expected[name].shape}")
+    missing = [name for name in expected if name not in given]
+    if missing and not partial:
+        return f"missing parameters {missing}"
+    return None
+
+
 def _copy_params(params: dict) -> dict:
     out = {}
     for k, t in params.items():
@@ -211,15 +226,12 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
     ss_init, ss_order, ss_drop = np.random.SeedSequence(config.seed).spawn(3)
     params = init_model_params(enc_config, config.pooler, ss_init)
     if encoder_init.params is not None:
-        for name, tensor in encoder_init.params.items():
-            key = name if name.startswith("encoder.") else f"encoder.{name}"
-            if key not in params:
-                raise ConfigError(f"pretrained encoder has unexpected parameter {name!r}")
-            if params[key].shape != tensor.shape:
-                raise ConfigError(
-                    f"pretrained parameter {name!r} has shape {tensor.shape}, "
-                    f"expected {params[key].shape}"
-                )
+        given = {name if name.startswith("encoder.") else f"encoder.{name}": tensor
+                 for name, tensor in encoder_init.params.items()}
+        problem = param_table_mismatch(params, given, partial=True)
+        if problem:
+            raise ConfigError(f"pretrained encoder: {problem}")
+        for key, tensor in given.items():
             params[key] = Tensor(tensor.data.copy(), requires_grad=True,
                                  dtype=tensor.data.dtype)
     for name, tensor in params.items():

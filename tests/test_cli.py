@@ -1,13 +1,14 @@
 """Command-line behaviour: exit codes, report formats, pipeline identities."""
 
 import json
+import struct
 import subprocess
 import sys
 
 import pytest
 
 from trihead.assets import asset_path
-from trihead.cli import main
+from trihead.cli import _load_run_config, main
 from trihead.data import load_checkpoint, load_dataset
 
 TRAIN_TSV = str(asset_path("synth_train.tsv"))
@@ -148,6 +149,37 @@ def test_balance_flag_oversamples_training_set(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# config surface
+
+
+def test_config_keys_and_their_defaults_are_pinned():
+    # the keys are the public JSON config format; the defaults come from the
+    # library dataclasses, apart from the CLI's own epochs, vocab size,
+    # balance and paths
+    cfg = _load_run_config(None, {})
+    assert vars(cfg) == {
+        "d_model": 64, "n_layers": 2, "n_heads": 2, "d_ff": 128, "max_len": 48,
+        "dropout_p": 0.3,
+        "epochs": 5, "batch_size": 8, "base_lr": 2e-5, "warmup_steps": 0,
+        "seed": 42, "pooler": "attention", "task_loss_weights": (1.0, 1.0, 1.0),
+        "freeze": (),
+        "vocab_target_size": 200, "balance": False,
+        "pretrain_steps": 300, "pretrain_batch_size": 8, "pretrain_lr": 1e-3,
+        "pretrain_mask_rate": 0.15,
+        "data": None, "dev": None, "emoji_map": None, "encoder": None, "out": None,
+    }
+
+
+def test_pretrain_without_seed_uses_seed_42(tmp_path, capsys):
+    base = ["pretrain", "--corpus", CORPUS_TXT, "--steps", "3", "--d-model", "16",
+            "--n-heads", "2", "--d-ff", "32", "--max-len", "12"]
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run(capsys, *base, "--out", str(a))[0] == 0
+    assert run(capsys, *base, "--out", str(b), "--seed", "42")[0] == 0
+    assert (a / "encoder.ckpt").read_bytes() == (b / "encoder.ckpt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
 # eval / predict / score agree
 
 
@@ -170,6 +202,39 @@ def test_eval_matches_predict_then_score(trained, tmp_path, capsys):
                              "--pred", str(pred))
     assert code == 0
     assert eval_out == score_out
+
+
+def edit_checkpoint(src, dst, edit, drop_tail=0):
+    """Copy a checkpoint with its JSON header changed by edit(header) and the
+    last drop_tail bytes of parameter data removed."""
+    raw = src.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    body = raw[12 + hlen:len(raw) - drop_tail]
+    dst.write_bytes(raw[:8] + struct.pack("<I", len(blob)) + blob + body)
+    return dst
+
+
+def drop_last_param(header):
+    assert header["params"].pop() == {"name": "heads.communal.b", "shape": [2]}
+
+
+@pytest.mark.parametrize("edit, drop_tail, message", [
+    (drop_last_param, 8, "missing parameters ['heads.communal.b']"),
+    (lambda h: h.update(meta=[1, 2]), 0, "meta must be a JSON object"),
+    (lambda h: h.update(pooler="max"), 0, "pooler 'max'"),
+], ids=["missing-param", "meta-list", "bad-pooler"])
+def test_hand_edited_checkpoint_is_a_data_error(trained, tmp_path, capsys,
+                                                edit, drop_tail, message):
+    bad = edit_checkpoint(trained, tmp_path / "bad.ckpt", edit, drop_tail)
+    for argv in (["eval", "--model", str(bad), "--data", DEV_TSV],
+                 ["predict", "--model", str(bad), "--input", DEV_TSV,
+                  "--output", str(tmp_path / "pred.tsv")]):
+        code, _, err = run(capsys, *argv)
+        assert code == 3
+        assert message in err
 
 
 def test_predict_keeps_input_row_order(trained, tmp_path, capsys):

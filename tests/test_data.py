@@ -303,26 +303,26 @@ def test_header_missing_keys_is_rejected(tmp_path):
         load_checkpoint(p)
 
 
-def test_unknown_kind_is_rejected(tmp_path):
+def rewrite_header(edit):
+    """A corrupt() mutation that changes only the JSON header."""
     def mutate(raw):
         (hlen,) = struct.unpack("<I", raw[8:12])
         header = json.loads(raw[12:12 + hlen])
-        header["kind"] = "banana"
+        edit(header)
         blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         raw[8:12] = struct.pack("<I", len(blob))
         raw[12:12 + hlen] = blob
+    return mutate
+
+
+def test_unknown_kind_is_rejected(tmp_path):
+    mutate = rewrite_header(lambda h: h.update(kind="banana"))
     with pytest.raises(CheckpointFormatError, match="kind 'banana'"):
         load_checkpoint(corrupt(tmp_path, mutate))
 
 
 def test_vocab_size_mismatch_is_rejected(tmp_path):
-    def mutate(raw):
-        (hlen,) = struct.unpack("<I", raw[8:12])
-        header = json.loads(raw[12:12 + hlen])
-        header["vocab"].append("zz_extra")
-        blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-        raw[8:12] = struct.pack("<I", len(blob))
-        raw[12:12 + hlen] = blob
+    mutate = rewrite_header(lambda h: h["vocab"].append("zz_extra"))
     with pytest.raises(CheckpointFormatError, match="vocab_size"):
         load_checkpoint(corrupt(tmp_path, mutate))
 
@@ -332,3 +332,30 @@ def test_loaded_params_are_trainable(tmp_path):
     save_checkpoint(small_checkpoint(), p)
     back = load_checkpoint(p)
     assert all(t.requires_grad for t in back.params.values())
+
+
+def reverse_first_shape(header):
+    header["params"][0]["shape"].reverse()  # same byte count, wrong shape
+
+
+def rename_last_param(header):
+    header["params"][-1]["name"] = "heads.extra.b"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (reverse_first_shape, "'encoder.tok_emb' has shape"),
+    (rename_last_param, "unexpected parameter 'heads.extra.b'"),
+])
+def test_parameter_table_mismatch_is_rejected(tmp_path, edit, message):
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(corrupt(tmp_path, rewrite_header(edit)))
+
+
+def test_encoder_checkpoint_with_a_pooler_is_rejected(tmp_path):
+    ck = small_checkpoint()
+    enc = {k[len("encoder."):]: t for k, t in ck.params.items() if k.startswith("encoder.")}
+    p = tmp_path / "e.ckpt"
+    save_checkpoint(Checkpoint(kind="encoder", config=ck.config, vocab=ck.vocab,
+                               pooler_kind="attention", params=enc), p)
+    with pytest.raises(CheckpointFormatError, match="encoder checkpoint has pooler"):
+        load_checkpoint(p)

@@ -5,15 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from trihead.autograd import Tensor, cross_entropy, grad_check
-from trihead.errors import ConfigError
+from trihead.autograd import Tensor, cross_entropy, grad_check, softmax
 from trihead.metrics import TASKS
 from trihead.pooling import (
     AttentionPoolerParams,
     TaskHead,
     attention_pool,
     attention_weights,
-    classify,
     fresh_heads,
     logits_for,
     mean_pool,
@@ -182,10 +180,14 @@ def test_attention_pool_rejects_all_masked_row():
 # heads
 
 
+def probabilities(pooled, heads):
+    return {t: softmax(logits_for(pooled, heads[t]), axis=-1) for t in TASKS}
+
+
 def test_zero_init_heads_give_uniform_probabilities():
     heads = fresh_heads(d_model=8)
     pooled = rand_h(3, 1, 8, seed=13)
-    probs = classify(Tensor(pooled.data[:, 0, :]), heads)
+    probs = probabilities(Tensor(pooled.data[:, 0, :]), heads)
     np.testing.assert_allclose(probs["aggression"].data, 1.0 / 3.0, atol=1e-7)
     np.testing.assert_allclose(probs["gender"].data, 0.5, atol=1e-7)
     np.testing.assert_allclose(probs["communal"].data, 0.5, atol=1e-7)
@@ -196,7 +198,7 @@ def test_probability_rows_sum_to_one():
     heads = fresh_heads(6)
     for task in TASKS:
         heads[task].w.data[:] = rng.normal(size=heads[task].w.shape).astype(np.float32)
-    probs = classify(Tensor(rng.normal(size=(5, 6))), heads)
+    probs = probabilities(Tensor(rng.normal(size=(5, 6))), heads)
     for task in TASKS:
         np.testing.assert_allclose(probs[task].data.sum(axis=-1), 1.0, atol=1e-6)
 
@@ -205,21 +207,14 @@ def test_bias_dominance_forces_first_class():
     heads = fresh_heads(4)
     heads["aggression"].b.data[:] = np.array([10.0, 0.0, 0.0], dtype=np.float32)
     pooled = Tensor(np.random.default_rng(15).normal(size=(6, 4)))
-    labels = predict_labels(classify(pooled, heads))
+    labels = predict_labels(probabilities(pooled, heads))
     assert all(t[0] == "NAG" for t in labels)
 
 
 def test_tie_breaks_to_lowest_class_index():
     heads = fresh_heads(4)  # all-zero: every class tied
-    labels = predict_labels(classify(Tensor(np.zeros((2, 4))), heads))
+    labels = predict_labels(probabilities(Tensor(np.zeros((2, 4))), heads))
     assert labels == [("NAG", "NGEN", "NCOM")] * 2
-
-
-def test_classify_requires_all_heads():
-    heads = fresh_heads(4)
-    del heads["gender"]
-    with pytest.raises(ConfigError, match="gender"):
-        classify(Tensor(np.zeros((1, 4))), heads)
 
 
 def test_named_head_params_order_and_shapes():

@@ -15,6 +15,7 @@ from trihead.errors import (
     DivergenceError,
 )
 from trihead.metrics import TriLabel
+from trihead.optim import lr_at
 from trihead.textpipe import build_vocab, normalize
 from trihead.train import (
     Checkpoint,
@@ -22,7 +23,6 @@ from trihead.train import (
     TrainConfig,
     evaluate,
     init_model_params,
-    lr_at,
     predict,
     trace_to_csv,
     train,
