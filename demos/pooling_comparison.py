@@ -16,12 +16,7 @@ from trihead.assets import asset_path
 from trihead.autograd import Tensor
 from trihead.data import load_dataset
 from trihead.encoder import EncoderConfig
-from trihead.pooling import (
-    AttentionPoolerParams,
-    attention_pool,
-    attention_weights,
-    mean_pool,
-)
+from trihead.pooling import attention_pool, attention_weights, mean_pool
 from trihead.textpipe import batch_encode, build_vocab, normalize
 from trihead.train import EncoderInit, TrainConfig, train
 
@@ -32,13 +27,15 @@ rng = np.random.default_rng(0)
 h = Tensor(rng.normal(size=(2, 5, 4)).astype(np.float32))
 mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
 
-fresh = AttentionPoolerParams.fresh(d_model=4)
-att = attention_pool(h, mask, fresh, mode="eval")
+# the attention pooler's starting values (train.init_model_params)
+q = Tensor(np.zeros(4, dtype=np.float32))
+w_h = Tensor(np.eye(4, dtype=np.float32))
+att = attention_pool(h, mask, q, w_h, mode="eval")
 avg = mean_pool(h, mask)
 print("fresh attention == mean pooling:",
       bool(np.array_equal(att.data, avg.data)))
 
-alpha = attention_weights(h, mask, fresh)
+alpha = attention_weights(h, mask, q)
 print("fresh weights row 0:", np.round(alpha[0], 4).tolist(),
       "(uniform over the 3 real tokens)")
 
@@ -73,9 +70,7 @@ from trihead.encoder import encode_batch  # noqa: E402
 overt = next(i for i, ex in enumerate(data) if ex.labels.aggression == "OAG")
 batch = batch_encode([texts[overt]], vocab, config.max_len)
 states = encode_batch(batch, enc_params, config, mode="eval")
-trained = AttentionPoolerParams(q=ck.params["pooler.q"],
-                                w_h=ck.params["pooler.w_h"])
-alpha = attention_weights(states, batch.attention_mask, trained)
+alpha = attention_weights(states, batch.attention_mask, ck.params["pooler.q"])
 tokens = [vocab.token_of(i) for i in batch.token_ids[0]]
 n = int(batch.attention_mask[0].sum())
 print(f"\ntoken weights after training ({texts[overt]!r}):")

@@ -95,12 +95,17 @@ def _read_rows(path, expected_header: tuple):
         raise DataError(
             f"{path}:1: bad header {_fmt_header(header)}, expected {_fmt_header(expected_header)}"
         )
+    seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
         if len(fields) != len(expected_header):
             raise DataError(
                 f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(fields)}"
             )
+        row_id = fields[0]  # every header starts with id
+        if row_id in seen:
+            raise DataError(f"{path}:{lineno}: duplicate id {row_id!r}")
+        seen.add(row_id)
         yield lineno, fields
 
 
@@ -113,11 +118,7 @@ def load_dataset(path, allow_empty_text: bool = False) -> list:
     its closed set, ids must be unique, and a header-only file is simply an
     empty dataset."""
     examples = []
-    seen = set()
     for lineno, (row_id, text, agg, gen, com) in _read_rows(path, DATASET_HEADER):
-        if row_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate id {row_id!r}")
-        seen.add(row_id)
         if not text and not allow_empty_text:
             raise DataError(f"{path}:{lineno}: empty text for id {row_id!r}")
         try:
@@ -146,14 +147,7 @@ def load_prediction_input(path) -> list:
         first = fh.readline().rstrip("\n")
     if tuple(first.split("\t")) == DATASET_HEADER:
         return [(ex.id, ex.text) for ex in load_dataset(path, allow_empty_text=True)]
-    pairs = []
-    seen = set()
-    for lineno, (row_id, text) in _read_rows(path, PREDICTION_HEADER):
-        if row_id in seen:
-            raise DataError(f"{path}:{lineno}: duplicate id {row_id!r}")
-        seen.add(row_id)
-        pairs.append((row_id, text))
-    return pairs
+    return [(row_id, text) for _, (row_id, text) in _read_rows(path, PREDICTION_HEADER)]
 
 
 def load_labels(path) -> dict:
@@ -165,8 +159,6 @@ def load_labels(path) -> dict:
         return {ex.id: ex.labels for ex in load_dataset(path, allow_empty_text=True)}
     out = {}
     for lineno, (row_id, agg, gen, com) in _read_rows(path, LABELS_HEADER):
-        if row_id in out:
-            raise DataError(f"{path}:{lineno}: duplicate id {row_id!r}")
         try:
             out[row_id] = TriLabel(agg, gen, com)
         except DataError as e:
@@ -270,12 +262,23 @@ def load_checkpoint(path) -> Checkpoint:
             f"vocabulary has {vocab.size} tokens"
         )
 
+    if not isinstance(header["params"], list):
+        raise CheckpointFormatError(
+            f"{path}: params must be a JSON list, got {type(header['params']).__name__}"
+        )
     params: dict[str, Tensor] = {}
     offset = 12 + header_len
     for entry in header["params"]:
-        if set(entry) != {"name", "shape"}:
-            raise CheckpointFormatError(f"{path}: malformed parameter table entry {entry}")
-        shape = tuple(int(x) for x in entry["shape"])
+        # bool is an int subclass, so the shape check compares exact types
+        if (not isinstance(entry, dict) or set(entry) != {"name", "shape"}
+                or not isinstance(entry["name"], str)
+                or not isinstance(entry["shape"], list)
+                or not all(type(x) is int and x >= 0 for x in entry["shape"])):
+            raise CheckpointFormatError(
+                f"{path}: malformed parameter table entry {entry}, expected "
+                '{"name": string, "shape": [non-negative ints]}'
+            )
+        shape = tuple(entry["shape"])
         count = int(np.prod(shape)) if shape else 1
         nbytes = 4 * count
         if offset + nbytes > len(raw):

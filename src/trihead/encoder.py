@@ -28,7 +28,7 @@ from .autograd import (
     softmax,
     transpose,
 )
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
 from .optim import AdamW, clip_global_norm, lr_at
 from .textpipe import CLS_ID, EncodedBatch, Vocab, batch_encode
 
@@ -233,7 +233,8 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
 
     Returns (params, losses) where losses is the per-step trace. Sentences
     with no maskable token are dropped; an entirely unmaskable corpus is an
-    input error.
+    input error. A non-finite loss or activation raises DivergenceError
+    with its step.
     """
     corpus = list(corpus)
     if not corpus:
@@ -262,12 +263,19 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
             ids, mask, schedule.mask_rate, config.vocab_size, rng
         )
         batch = EncodedBatch(token_ids=corrupted, attention_mask=mask)
-        h = encode_batch(batch, params, config, mode="train", rng=rng)
-        b, l, d = h.shape
-        rows = embedding_lookup(reshape(h, (b * l, d)), positions)
-        logits = add(matmul(rows, transpose(params["tok_emb"])), params["mlm_bias"])
-        loss = cross_entropy(logits, targets)
-        losses.append(loss.item())
+        try:
+            h = encode_batch(batch, params, config, mode="train", rng=rng)
+            b, l, d = h.shape
+            rows = embedding_lookup(reshape(h, (b * l, d)), positions)
+            logits = add(matmul(rows, transpose(params["tok_emb"])), params["mlm_bias"])
+            loss = cross_entropy(logits, targets)
+        except NonFiniteError:
+            # activations blew up before the loss could; same disease
+            raise DivergenceError(step) from None
+        loss_value = loss.item()
+        if not np.isfinite(loss_value):
+            raise DivergenceError(step)
+        losses.append(loss_value)
         opt.zero_grad()
         backward(loss)
         clip_global_norm(params, 1.0)

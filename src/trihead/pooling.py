@@ -1,72 +1,20 @@
 """Sentence pooling over the last hidden state, plus the three task heads.
 
-Attention pooling scores every token against a learned query, softmaxes
+Plain functions over tensors; the parameters they take (query, projection,
+head weights) live in the model's name → Tensor table, which train.py
+builds. Attention pooling scores every token against the query q, softmaxes
 the scores (padding pushed to effectively zero weight), takes the weighted
-sum, and projects it. Mean pooling is the plain masked average. Both are
-followed by per-task linear softmax heads over a shared pooled vector.
+sum, and projects it by w_h. Mean pooling is the plain masked average. Both
+are followed by per-task linear heads over a shared pooled vector.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .autograd import Tensor, add, dropout, matmul, reshape, softmax
 from .encoder import NEG_INF
 from .metrics import TASK_LABELS, TASKS
-
-
-@dataclass
-class AttentionPoolerParams:
-    """Learned query q (d,) and output projection w_h (d×d).
-
-    Starts as exact mean pooling: zero query gives uniform attention and an
-    identity projection passes the average straight through; training then
-    moves both.
-    """
-
-    q: Tensor
-    w_h: Tensor
-
-    @classmethod
-    def fresh(cls, d_model: int, dtype=np.float32) -> "AttentionPoolerParams":
-        return cls(
-            q=Tensor(np.zeros(d_model), requires_grad=True, dtype=dtype),
-            w_h=Tensor(np.eye(d_model), requires_grad=True, dtype=dtype),
-        )
-
-    def named(self) -> dict:
-        return {"pooler.q": self.q, "pooler.w_h": self.w_h}
-
-
-@dataclass
-class TaskHead:
-    """One linear softmax head: w is d×C, b is C, class order fixed."""
-
-    w: Tensor
-    b: Tensor
-
-
-def fresh_heads(d_model: int, dtype=np.float32) -> dict:
-    """Zero-initialized heads, one per task; zero weights mean the first
-    loss is exactly the uniform baseline no matter what the encoder emits."""
-    heads = {}
-    for task in TASKS:
-        c = len(TASK_LABELS[task])
-        heads[task] = TaskHead(
-            w=Tensor(np.zeros((d_model, c)), requires_grad=True, dtype=dtype),
-            b=Tensor(np.zeros(c), requires_grad=True, dtype=dtype),
-        )
-    return heads
-
-
-def named_head_params(heads: dict) -> dict:
-    out = {}
-    for task in TASKS:
-        out[f"heads.{task}.w"] = heads[task].w
-        out[f"heads.{task}.b"] = heads[task].b
-    return out
 
 
 def _check_mask(h: Tensor, mask: np.ndarray):
@@ -84,9 +32,10 @@ def _uniform_weights(mask: np.ndarray, dtype) -> np.ndarray:
     return mask.astype(dtype) / counts.astype(dtype)
 
 
-def attention_pool(h: Tensor, mask: np.ndarray, params: AttentionPoolerParams,
+def attention_pool(h: Tensor, mask: np.ndarray, q: Tensor, w_h: Tensor,
                    mode: str = "eval", dropout_p: float = 0.0, rng=None) -> Tensor:
-    """Query-scored weighted sum of token states, projected by w_h.
+    """Query-scored weighted sum of token states, projected by w_h (d×d);
+    q is the (d,) query.
 
     Scores are q·h_i with padded positions forced to a large negative value;
     softmax turns them into weights that ignore padding entirely. Dropout
@@ -94,20 +43,19 @@ def attention_pool(h: Tensor, mask: np.ndarray, params: AttentionPoolerParams,
     """
     _check_mask(h, mask)
     b, l, d = h.shape
-    scores = reshape(matmul(h, reshape(params.q, (d, 1))), (b, l))
+    scores = reshape(matmul(h, reshape(q, (d, 1))), (b, l))
     bias = Tensor(((1 - mask) * NEG_INF), dtype=h.dtype)
     alpha = softmax(add(scores, bias), axis=-1)
     pooled = reshape(matmul(reshape(alpha, (b, 1, l)), h), (b, d))
-    out = matmul(pooled, params.w_h)
+    out = matmul(pooled, w_h)
     return dropout(out, dropout_p, training=mode == "train", rng=rng)
 
 
-def attention_weights(h: Tensor, mask: np.ndarray,
-                      params: AttentionPoolerParams) -> np.ndarray:
+def attention_weights(h: Tensor, mask: np.ndarray, q: Tensor) -> np.ndarray:
     """The α row per example (B×L numpy array), for inspection."""
     _check_mask(h, mask)
     b, l, d = h.shape
-    scores = h.data @ params.q.data.reshape(d, 1)
+    scores = h.data @ q.data.reshape(d, 1)
     scores = scores.reshape(b, l) + (1 - mask) * NEG_INF
     shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
     return shifted / shifted.sum(axis=1, keepdims=True)
@@ -126,9 +74,10 @@ def mean_pool(h: Tensor, mask: np.ndarray) -> Tensor:
     return reshape(matmul(weights, h), (b, d))
 
 
-def logits_for(pooled: Tensor, head: TaskHead) -> Tensor:
-    """Pre-softmax scores for one task (what cross-entropy consumes)."""
-    return add(matmul(pooled, head.w), head.b)
+def logits_for(pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Pre-softmax scores for one task's head, w (d×C) and b (C,), class
+    order fixed by TASK_LABELS (what cross-entropy consumes)."""
+    return add(matmul(pooled, w), b)
 
 
 def predict_labels(probs: dict) -> list:

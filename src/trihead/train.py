@@ -27,16 +27,7 @@ from .errors import (
 )
 from .metrics import TASK_LABELS, TASKS, MetricsReport, TriLabel, score_triples
 from .optim import AdamW, clip_global_norm, lr_at
-from .pooling import (
-    AttentionPoolerParams,
-    TaskHead,
-    attention_pool,
-    fresh_heads,
-    logits_for,
-    mean_pool,
-    named_head_params,
-    predict_labels,
-)
+from .pooling import attention_pool, logits_for, mean_pool, predict_labels
 from .textpipe import EmojiMap, EncodedBatch, Vocab, batch_encode, normalize
 
 POOLER_KINDS = ("attention", "mean")
@@ -132,10 +123,6 @@ def trace_to_csv(rows) -> str:
     return buf.getvalue()
 
 
-def _heads_view(params: dict) -> dict:
-    return {t: TaskHead(w=params[f"heads.{t}.w"], b=params[f"heads.{t}.b"]) for t in TASKS}
-
-
 def forward_logits(params: dict, config: EncoderConfig, pooler_kind: str,
                    batch: EncodedBatch, mode: str = "eval", rng=None) -> dict:
     """Encoder → pooler → per-task logits, as a task-keyed dict.
@@ -148,27 +135,39 @@ def forward_logits(params: dict, config: EncoderConfig, pooler_kind: str,
     h = encode_batch(batch, enc, config, mode=mode, rng=rng)
     mask = batch.attention_mask
     if pooler_kind == "attention":
-        pp = AttentionPoolerParams(q=params["pooler.q"], w_h=params["pooler.w_h"])
-        pooled = attention_pool(h, mask, pp, mode=mode, dropout_p=config.dropout_p, rng=rng)
+        pooled = attention_pool(h, mask, params["pooler.q"], params["pooler.w_h"],
+                                mode=mode, dropout_p=config.dropout_p, rng=rng)
     elif pooler_kind == "mean":
         pooled = dropout(mean_pool(h, mask), config.dropout_p,
                          training=mode == "train", rng=rng)
     else:
         raise ConfigError(f"unknown pooler kind {pooler_kind!r}")
-    heads = _heads_view(params)
-    return {t: logits_for(pooled, heads[t]) for t in TASKS}
+    return {t: logits_for(pooled, params[f"heads.{t}.w"], params[f"heads.{t}.b"])
+            for t in TASKS}
 
 
 def init_model_params(config: EncoderConfig, pooler_kind: str, seed) -> dict:
-    """Flat name → Tensor table for the full model ('encoder.' / 'pooler.' /
-    'heads.' prefixes). Heads start at zero; the attention pooler starts as
-    mean pooling."""
+    """Flat name → Tensor table for the full model, in checkpoint blob order:
+    'encoder.*', then the attention pooler's query 'pooler.q' (d,) and
+    projection 'pooler.w_h' (d×d), then 'heads.{task}.w' (d×C) and
+    'heads.{task}.b' (C,) per task.
+
+    A zero query with an identity projection is exactly mean pooling (equal
+    scores, uniform weights, the average passed straight through); training
+    then moves both. Zero heads make the first loss the uniform baseline,
+    ln 3 + 2 ln 2, whatever the encoder emits.
+    """
+    d = config.d_model
     flat = {f"encoder.{k}": v for k, v in init_encoder_params(config, seed).items()}
     if pooler_kind == "attention":
-        flat.update(AttentionPoolerParams.fresh(config.d_model).named())
+        flat["pooler.q"] = Tensor(np.zeros(d), requires_grad=True, dtype=np.float32)
+        flat["pooler.w_h"] = Tensor(np.eye(d), requires_grad=True, dtype=np.float32)
     elif pooler_kind != "mean":
         raise ConfigError(f"unknown pooler kind {pooler_kind!r}")
-    flat.update(named_head_params(fresh_heads(config.d_model)))
+    for task in TASKS:
+        c = len(TASK_LABELS[task])
+        flat[f"heads.{task}.w"] = Tensor(np.zeros((d, c)), requires_grad=True, dtype=np.float32)
+        flat[f"heads.{task}.b"] = Tensor(np.zeros(c), requires_grad=True, dtype=np.float32)
     return flat
 
 

@@ -29,7 +29,7 @@ from trihead.metrics import (
     overall_micro_f1,
     score_triples,
 )
-from trihead.pooling import AttentionPoolerParams, attention_pool, mean_pool
+from trihead.pooling import attention_pool, mean_pool
 from trihead.textpipe import balance, batch_encode, build_vocab, normalize
 from trihead.train import (
     EncoderInit,
@@ -160,10 +160,9 @@ def test_criterion_02_zero_query_equivalence():
         mask = np.zeros((b, l), dtype=np.int64)
         for row in range(b):
             mask[row, :int(rng.integers(1, l + 1))] = 1
-        params = AttentionPoolerParams(
-            q=Tensor(np.zeros(d, dtype=np.float32), requires_grad=True),
-            w_h=Tensor(np.eye(d, dtype=np.float32), requires_grad=True))
-        att = attention_pool(h, mask, params, mode="eval")
+        q = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
+        w_h = Tensor(np.eye(d, dtype=np.float32), requires_grad=True)
+        att = attention_pool(h, mask, q, w_h, mode="eval")
         mean = mean_pool(h, mask)
         worst = max(worst, float(np.abs(att.data - mean.data).max()))
     assert worst <= 1e-6

@@ -88,6 +88,16 @@ def test_divergent_run_exits_4(tmp_path, capsys):
     assert "step" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_divergent_pretrain_exits_4(tmp_path, capsys):
+    code, _, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT,
+                       "--out", str(tmp_path / "pre"), "--steps", "40", "--lr", "1e6",
+                       "--d-model", "16", "--max-len", "16")
+    assert code == 4
+    assert "step" in err
+
+
 # ---------------------------------------------------------------------------
 # train
 

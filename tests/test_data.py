@@ -66,14 +66,16 @@ def test_bad_label_names_line_and_id(tmp_path):
         load_dataset(p)
 
 
-def test_duplicate_ids_rejected(tmp_path):
-    p = write(tmp_path, "d.tsv", [
-        HEADER,
-        "a1\they\tNAG\tNGEN\tNCOM",
-        "a1\tyo\tNAG\tNGEN\tNCOM",
-    ])
-    with pytest.raises(DataError, match="duplicate id 'a1'"):
-        load_dataset(p)
+@pytest.mark.parametrize("loader, lines", [
+    (load_dataset, [HEADER, "a1\they\tNAG\tNGEN\tNCOM", "a1\tyo\tNAG\tNGEN\tNCOM"]),
+    (load_prediction_input, ["id\ttext", "a1\they", "a1\tyo"]),
+    (load_labels, ["id\taggression\tgender\tcommunal", "a1\tNAG\tNGEN\tNCOM",
+                   "a1\tOAG\tGEN\tCOM"]),
+], ids=["dataset", "prediction_input", "labels"])
+def test_duplicate_ids_rejected(tmp_path, loader, lines):
+    p = write(tmp_path, "d.tsv", lines)
+    with pytest.raises(DataError, match=r"d\.tsv:3: duplicate id 'a1'$"):
+        loader(p)
 
 
 def test_wrong_column_count_names_the_line(tmp_path):
@@ -345,6 +347,16 @@ def rename_last_param(header):
 @pytest.mark.parametrize("edit, message", [
     (reverse_first_shape, "'encoder.tok_emb' has shape"),
     (rename_last_param, "unexpected parameter 'heads.extra.b'"),
+    pytest.param(lambda h: h["params"][0].update(shape=["x", 16]),
+                 r"malformed parameter table entry .*'x'", id="non_int_dim"),
+    pytest.param(lambda h: h["params"][0].update(shape=16),
+                 "malformed parameter table entry .*'shape': 16", id="non_list_shape"),
+    pytest.param(lambda h: h.update(params=5),
+                 "params must be a JSON list, got int", id="non_list_params"),
+    pytest.param(lambda h: h["params"].append(7),
+                 "malformed parameter table entry 7,", id="non_object_entry"),
+    pytest.param(lambda h: h["params"][0].update(shape=[-1, 16]),
+                 r"malformed parameter table entry .*\[-1, 16\]", id="negative_dim"),
 ])
 def test_parameter_table_mismatch_is_rejected(tmp_path, edit, message):
     with pytest.raises(CheckpointFormatError, match=message):

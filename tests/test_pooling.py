@@ -6,18 +6,16 @@ import numpy as np
 import pytest
 
 from trihead.autograd import Tensor, cross_entropy, grad_check, softmax
+from trihead.encoder import EncoderConfig
 from trihead.metrics import TASKS
 from trihead.pooling import (
-    AttentionPoolerParams,
-    TaskHead,
     attention_pool,
     attention_weights,
-    fresh_heads,
     logits_for,
     mean_pool,
-    named_head_params,
     predict_labels,
 )
+from trihead.train import init_model_params
 
 
 def rand_h(b, l, d, seed=0, dtype=np.float32):
@@ -73,26 +71,30 @@ def test_mean_pool_rejects_mask_shape_mismatch():
 
 
 def zero_query_params(d, dtype=np.float32):
-    return AttentionPoolerParams(
-        q=Tensor(np.zeros(d), dtype=dtype),
-        w_h=Tensor(np.eye(d), dtype=dtype),
-    )
+    return Tensor(np.zeros(d), dtype=dtype), Tensor(np.eye(d), dtype=dtype)
+
+
+def fresh_table(d_model, pooler="attention"):
+    config = EncoderConfig(vocab_size=10, d_model=d_model, n_layers=1, n_heads=1,
+                           d_ff=2 * d_model, max_len=8)
+    return init_model_params(config, pooler, 0)
 
 
 def test_zero_query_identity_projection_equals_mean_pool():
     h = rand_h(3, 6, 8, seed=3)
     mask = mask_of([6, 4, 1], 6)
-    att = attention_pool(h, mask, zero_query_params(8)).data
+    att = attention_pool(h, mask, *zero_query_params(8)).data
     mean = mean_pool(h, mask).data
     # same arithmetic path by construction: digit-for-digit equal
     assert np.array_equal(att, mean)
 
 
 def test_fresh_pooler_starts_as_mean_pool():
-    p = AttentionPoolerParams.fresh(8)
+    table = fresh_table(8)
+    q, w_h = table["pooler.q"], table["pooler.w_h"]
     h = rand_h(2, 5, 8, seed=4)
     mask = mask_of([5, 2], 5)
-    assert np.array_equal(attention_pool(h, mask, p).data, mean_pool(h, mask).data)
+    assert np.array_equal(attention_pool(h, mask, q, w_h).data, mean_pool(h, mask).data)
 
 
 def test_singleton_row_returns_cls_state_for_any_query():
@@ -100,20 +102,14 @@ def test_singleton_row_returns_cls_state_for_any_query():
     rng = np.random.default_rng(5)
     h = rand_h(1, 4, d, seed=5)
     mask = mask_of([1], 4)
-    params = AttentionPoolerParams(
-        q=Tensor(rng.normal(size=d)), w_h=Tensor(np.eye(d))
-    )
-    out = attention_pool(h, mask, params)
+    out = attention_pool(h, mask, Tensor(rng.normal(size=d)), Tensor(np.eye(d)))
     assert np.array_equal(out.data, h.data[:, 0, :])
 
 
 def test_alpha_is_a_masked_distribution():
     h = rand_h(1, 3, 4, seed=6)
     mask = np.array([[1, 1, 0]])
-    params = AttentionPoolerParams(
-        q=Tensor(np.random.default_rng(7).normal(size=4)), w_h=Tensor(np.eye(4))
-    )
-    alpha = attention_weights(h, mask, params)
+    alpha = attention_weights(h, mask, Tensor(np.random.default_rng(7).normal(size=4)))
     assert alpha.shape == (1, 3)
     assert (alpha >= 0).all()
     np.testing.assert_allclose(alpha.sum(axis=1), 1.0, atol=1e-6)
@@ -125,17 +121,15 @@ def test_permuting_unmasked_positions_permutes_alpha_and_keeps_output():
     h = rand_h(1, 5, d, seed=8, dtype=np.float64)
     mask = mask_of([4], 5)
     rng = np.random.default_rng(9)
-    params = AttentionPoolerParams(
-        q=Tensor(rng.normal(size=d), dtype=np.float64),
-        w_h=Tensor(rng.normal(size=(d, d)), dtype=np.float64),
-    )
-    base_alpha = attention_weights(h, mask, params)
-    base_out = attention_pool(h, mask, params).data
+    q = Tensor(rng.normal(size=d), dtype=np.float64)
+    w_h = Tensor(rng.normal(size=(d, d)), dtype=np.float64)
+    base_alpha = attention_weights(h, mask, q)
+    base_out = attention_pool(h, mask, q, w_h).data
     perm = [2, 0, 3, 1, 4]  # shuffles the unmasked prefix only
     hp = Tensor(h.data[:, perm, :], dtype=np.float64)
-    alpha_p = attention_weights(hp, mask, params)
+    alpha_p = attention_weights(hp, mask, q)
     np.testing.assert_allclose(alpha_p, base_alpha[:, perm], atol=1e-12)
-    np.testing.assert_allclose(attention_pool(hp, mask, params).data, base_out, atol=1e-12)
+    np.testing.assert_allclose(attention_pool(hp, mask, q, w_h).data, base_out, atol=1e-12)
 
 
 def test_scaling_query_sharpens_attention():
@@ -150,10 +144,7 @@ def test_scaling_query_sharpens_attention():
     q = rng.normal(size=d)
     prev = None
     for c in [0.5, 1.0, 2.0, 4.0, 8.0]:
-        params = AttentionPoolerParams(
-            q=Tensor(c * q, dtype=np.float64), w_h=Tensor(np.eye(d), dtype=np.float64)
-        )
-        e = entropy(attention_weights(h, mask, params)[0])
+        e = entropy(attention_weights(h, mask, Tensor(c * q, dtype=np.float64))[0])
         if prev is not None:
             assert e <= prev + 1e-12
         prev = e
@@ -162,10 +153,10 @@ def test_scaling_query_sharpens_attention():
 def test_attention_pool_dropout_only_in_train_mode():
     h = rand_h(2, 4, 8, seed=12)
     mask = mask_of([4, 3], 4)
-    params = AttentionPoolerParams.fresh(8)
-    still = attention_pool(h, mask, params, mode="eval", dropout_p=0.5)
+    q, w_h = zero_query_params(8)
+    still = attention_pool(h, mask, q, w_h, mode="eval", dropout_p=0.5)
     assert np.array_equal(still.data, mean_pool(h, mask).data)
-    dropped = attention_pool(h, mask, params, mode="train", dropout_p=0.5,
+    dropped = attention_pool(h, mask, q, w_h, mode="train", dropout_p=0.5,
                              rng=np.random.default_rng(0))
     assert not np.array_equal(dropped.data, still.data)
 
@@ -173,21 +164,23 @@ def test_attention_pool_dropout_only_in_train_mode():
 def test_attention_pool_rejects_all_masked_row():
     with pytest.raises(ValueError, match="fully masked"):
         attention_pool(rand_h(1, 3, 4), np.zeros((1, 3), dtype=np.int64),
-                       zero_query_params(4))
+                       *zero_query_params(4))
 
 
 # ---------------------------------------------------------------------------
 # heads
 
 
-def probabilities(pooled, heads):
-    return {t: softmax(logits_for(pooled, heads[t]), axis=-1) for t in TASKS}
+def probabilities(pooled, table):
+    return {t: softmax(logits_for(pooled, table[f"heads.{t}.w"], table[f"heads.{t}.b"]),
+                       axis=-1)
+            for t in TASKS}
 
 
 def test_zero_init_heads_give_uniform_probabilities():
-    heads = fresh_heads(d_model=8)
+    table = fresh_table(8)
     pooled = rand_h(3, 1, 8, seed=13)
-    probs = probabilities(Tensor(pooled.data[:, 0, :]), heads)
+    probs = probabilities(Tensor(pooled.data[:, 0, :]), table)
     np.testing.assert_allclose(probs["aggression"].data, 1.0 / 3.0, atol=1e-7)
     np.testing.assert_allclose(probs["gender"].data, 0.5, atol=1e-7)
     np.testing.assert_allclose(probs["communal"].data, 0.5, atol=1e-7)
@@ -195,37 +188,41 @@ def test_zero_init_heads_give_uniform_probabilities():
 
 def test_probability_rows_sum_to_one():
     rng = np.random.default_rng(14)
-    heads = fresh_heads(6)
+    table = fresh_table(6)
     for task in TASKS:
-        heads[task].w.data[:] = rng.normal(size=heads[task].w.shape).astype(np.float32)
-    probs = probabilities(Tensor(rng.normal(size=(5, 6))), heads)
+        w = table[f"heads.{task}.w"]
+        w.data[:] = rng.normal(size=w.shape).astype(np.float32)
+    probs = probabilities(Tensor(rng.normal(size=(5, 6))), table)
     for task in TASKS:
         np.testing.assert_allclose(probs[task].data.sum(axis=-1), 1.0, atol=1e-6)
 
 
 def test_bias_dominance_forces_first_class():
-    heads = fresh_heads(4)
-    heads["aggression"].b.data[:] = np.array([10.0, 0.0, 0.0], dtype=np.float32)
+    table = fresh_table(4)
+    table["heads.aggression.b"].data[:] = np.array([10.0, 0.0, 0.0], dtype=np.float32)
     pooled = Tensor(np.random.default_rng(15).normal(size=(6, 4)))
-    labels = predict_labels(probabilities(pooled, heads))
+    labels = predict_labels(probabilities(pooled, table))
     assert all(t[0] == "NAG" for t in labels)
 
 
 def test_tie_breaks_to_lowest_class_index():
-    heads = fresh_heads(4)  # all-zero: every class tied
-    labels = predict_labels(probabilities(Tensor(np.zeros((2, 4))), heads))
+    table = fresh_table(4)  # all-zero heads: every class tied
+    labels = predict_labels(probabilities(Tensor(np.zeros((2, 4))), table))
     assert labels == [("NAG", "NGEN", "NCOM")] * 2
 
 
-def test_named_head_params_order_and_shapes():
-    named = named_head_params(fresh_heads(8))
-    assert list(named) == [
-        "heads.aggression.w", "heads.aggression.b",
-        "heads.gender.w", "heads.gender.b",
-        "heads.communal.w", "heads.communal.b",
+def test_model_table_tail_order_and_shapes():
+    # the checkpoint writes its blobs in table order
+    heads = [
+        ("heads.aggression.w", (8, 3)), ("heads.aggression.b", (3,)),
+        ("heads.gender.w", (8, 2)), ("heads.gender.b", (2,)),
+        ("heads.communal.w", (8, 2)), ("heads.communal.b", (2,)),
     ]
-    assert named["heads.aggression.w"].shape == (8, 3)
-    assert named["heads.gender.b"].shape == (2,)
+    for pooler, tail in (("attention", [("pooler.q", (8,)), ("pooler.w_h", (8, 8))] + heads),
+                         ("mean", heads)):
+        entries = [(name, t.shape) for name, t in fresh_table(8, pooler).items()]
+        assert entries[-len(tail):] == tail
+        assert entries[-len(tail) - 1][0].startswith("encoder.")
 
 
 # ---------------------------------------------------------------------------
@@ -242,13 +239,10 @@ def test_grad_check_attention_pool_classify_chain():
     targets = np.array([0, 2])
 
     def build(q_data, h_data):
-        params = AttentionPoolerParams(
-            q=q_data, w_h=Tensor(w_h, dtype=np.float64)
-        )
-        head = TaskHead(w=Tensor(head_w, dtype=np.float64),
-                        b=Tensor(np.zeros(3), dtype=np.float64))
-        pooled = attention_pool(h_data, mask, params)
-        return cross_entropy(logits_for(pooled, head), targets)
+        pooled = attention_pool(h_data, mask, q_data, Tensor(w_h, dtype=np.float64))
+        logits = logits_for(pooled, Tensor(head_w, dtype=np.float64),
+                            Tensor(np.zeros(3), dtype=np.float64))
+        return cross_entropy(logits, targets)
 
     rep_q = grad_check(lambda t: build(t, Tensor(h0, dtype=np.float64)),
                        Tensor(rng.normal(size=d), dtype=np.float64))
@@ -268,9 +262,9 @@ def test_grad_check_mean_pool_chain():
     targets = np.array([1, 0])
 
     def f(t):
-        head = TaskHead(w=Tensor(head_w, dtype=np.float64),
-                        b=Tensor(np.zeros(2), dtype=np.float64))
-        return cross_entropy(logits_for(mean_pool(t, mask), head), targets)
+        logits = logits_for(mean_pool(t, mask), Tensor(head_w, dtype=np.float64),
+                            Tensor(np.zeros(2), dtype=np.float64))
+        return cross_entropy(logits, targets)
 
     report = grad_check(f, Tensor(rng.normal(size=(b, l, d)), dtype=np.float64))
     assert report.passed, str(report)
