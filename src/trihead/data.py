@@ -16,8 +16,9 @@ the blobs round-trip bit for bit; nothing in the file is executed.
 from __future__ import annotations
 
 import json
+import os
 import struct
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .autograd import Tensor
 from .encoder import EncoderConfig, init_encoder_params
 from .errors import CheckpointFormatError, DataError
 from .metrics import TriLabel
-from .textpipe import Vocab
+from .textpipe import EmojiMap, Vocab
 from .train import POOLER_KINDS, Checkpoint, init_model_params, param_table_mismatch
 
 DATASET_HEADER = ("id", "text", "aggression", "gender", "communal")
@@ -203,13 +204,55 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "meta": checkpoint.meta,
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<I", CHECKPOINT_VERSION))
-        fh.write(struct.pack("<I", len(blob)))
-        fh.write(blob)
-        for t in checkpoint.params.values():
-            fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+    # written beside the target and renamed over it, so a write that fails
+    # halfway leaves whatever checkpoint was at path untouched
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<I", CHECKPOINT_VERSION))
+            fh.write(struct.pack("<I", len(blob)))
+            fh.write(blob)
+            for t in checkpoint.params.values():
+                fh.write(np.ascontiguousarray(t.data, dtype="<f4").tobytes())
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _header_contents_problem(header: dict):
+    """What is wrong with the JSON types of the header's encoder_config,
+    vocab and meta.emoji_map, or None. Values are checked by the classes
+    they build."""
+    config = header["encoder_config"]
+    if not isinstance(config, dict):
+        return f"encoder_config must be a JSON object, got {type(config).__name__}"
+    for f in fields(EncoderConfig):
+        if f.name not in config:
+            continue  # the constructor applies the default or names it missing
+        value = config[f.name]
+        # bool is an int subclass, so both checks compare exact types
+        if f.type == "int" and type(value) is not int:
+            return f"encoder_config.{f.name} must be an integer, got {value!r}"
+        if f.type == "float" and type(value) not in (int, float):
+            return f"encoder_config.{f.name} must be a number, got {value!r}"
+    vocab = header["vocab"]
+    if not isinstance(vocab, list):
+        return f"vocab must be a JSON list, got {type(vocab).__name__}"
+    for i, token in enumerate(vocab):
+        if not isinstance(token, str):
+            return f"vocab[{i}] must be a string, got {token!r}"
+    emoji_map = header["meta"].get("emoji_map", {})
+    if not isinstance(emoji_map, dict):
+        return f"meta.emoji_map must be a JSON object, got {type(emoji_map).__name__}"
+    for key, repl in emoji_map.items():
+        if not isinstance(repl, str):
+            return f"meta.emoji_map[{key!r}] must be a string, got {repl!r}"
+    return None
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -251,9 +294,14 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: meta must be a JSON object, got {type(header['meta']).__name__}"
         )
 
+    problem = _header_contents_problem(header)
+    if problem:
+        raise CheckpointFormatError(f"{path}: {problem}")
     try:
         config = EncoderConfig(**header["encoder_config"])
         vocab = Vocab(header["vocab"])
+        if "emoji_map" in header["meta"]:
+            EmojiMap(header["meta"]["emoji_map"])
     except (TypeError, ValueError) as e:
         raise CheckpointFormatError(f"{path}: invalid header contents: {e}") from None
     if config.vocab_size != vocab.size:

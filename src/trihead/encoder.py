@@ -233,8 +233,8 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
 
     Returns (params, losses) where losses is the per-step trace. Sentences
     with no maskable token are dropped; an entirely unmaskable corpus is an
-    input error. A non-finite loss or activation raises DivergenceError
-    with its step.
+    input error. A non-finite loss, activation or gradient norm raises
+    DivergenceError with its step.
     """
     corpus = list(corpus)
     if not corpus:
@@ -278,6 +278,7 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
         losses.append(loss_value)
         opt.zero_grad()
         backward(loss)
-        clip_global_norm(params, 1.0)
+        if not np.isfinite(clip_global_norm(params, 1.0)):
+            raise DivergenceError(step, "gradient norm")
         opt.step(lr_at(step, schedule.steps, schedule))
     return params, losses

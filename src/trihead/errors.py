@@ -22,8 +22,9 @@ class NonFiniteError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training loss became non-finite (CLI exit code 4)."""
+    """Training loss, activations or gradient norm became non-finite (CLI
+    exit code 4); step is the first step that went bad."""
 
-    def __init__(self, step: int):
-        super().__init__(f"non-finite loss at step {step}")
+    def __init__(self, step: int, what: str = "loss"):
+        super().__init__(f"non-finite {what} at step {step}")
         self.step = step

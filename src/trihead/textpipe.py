@@ -194,17 +194,22 @@ def tokenize(text: str, vocab: Vocab) -> list[str]:
     return pieces
 
 
+def _token_ids(text: str, vocab: Vocab, max_len: int) -> list:
+    """[CLS] then the text's token ids, cut to max_len."""
+    if max_len < 2:
+        raise ConfigError(f"max_len must be at least 2, got {max_len}")
+    ids = [CLS_ID]
+    ids.extend(vocab.id_of(p) for p in tokenize(text, vocab))
+    return ids[:max_len]
+
+
 def encode(text: str, vocab: Vocab, max_len: int):
     """[CLS]-first id sequence, truncated or right-padded to max_len.
 
     Returns (ids, mask) as int64 arrays; mask is 1 over [CLS] and real
     tokens, 0 over padding.
     """
-    if max_len < 2:
-        raise ConfigError(f"max_len must be at least 2, got {max_len}")
-    ids = [CLS_ID]
-    ids.extend(vocab.id_of(p) for p in tokenize(text, vocab))
-    ids = ids[:max_len]
+    ids = _token_ids(text, vocab, max_len)
     n = len(ids)
     ids.extend([PAD_ID] * (max_len - n))
     mask = [1] * n + [0] * (max_len - n)
@@ -246,11 +251,13 @@ def batch_encode(texts: Sequence[str], vocab: Vocab, max_len: int) -> EncodedBat
     """Encode several texts into one padded batch."""
     if not texts:
         raise DataError("batch_encode: no texts")
-    pairs = [encode(t, vocab, max_len) for t in texts]
-    return EncodedBatch(
-        token_ids=np.stack([p[0] for p in pairs]),
-        attention_mask=np.stack([p[1] for p in pairs]),
-    )
+    rows = [_token_ids(t, vocab, max_len) for t in texts]
+    ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(rows), max_len), dtype=np.int64)
+    for r, row in enumerate(rows):
+        ids[r, :len(row)] = row
+        mask[r, :len(row)] = 1
+    return EncodedBatch(token_ids=ids, attention_mask=mask)
 
 
 def balance(dataset: Sequence["Example"], seed: int) -> list:

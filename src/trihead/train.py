@@ -273,7 +273,10 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
             lr = lr_at(step, total_steps, config)
             opt.zero_grad()
             backward(loss)
-            clip_global_norm(params, 1.0)
+            # NaN > 1 is false, so a NaN norm would pass unclipped into the
+            # parameters and surface only at the next step
+            if not np.isfinite(clip_global_norm(params, 1.0)):
+                raise DivergenceError(step, "gradient norm")
             opt.step(lr)
             trace.append(TraceRow(step, lr, loss_value,
                                   task_losses["aggression"].item(),
@@ -308,15 +311,27 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
 
 def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch,
                      chunk: int = 64) -> list:
-    # argmax over logits equals argmax over softmax, so the heads' scores
-    # go straight to the label picker
-    triples = []
-    n = encoded.token_ids.shape[0]
-    for start in range(0, n, chunk):
-        piece = EncodedBatch(token_ids=encoded.token_ids[start:start + chunk],
-                             attention_mask=encoded.attention_mask[start:start + chunk])
+    """Label triples for every row of encoded, in its row order.
+
+    Rows run shortest first, and each chunk is cut to its longest real row,
+    so the encoder skips the padding a full-width batch would carry. Masked
+    keys weigh exactly zero, so a cut row computes what its full-width row
+    does; only the logits' last bits can move, because BLAS sums a shorter
+    row in another order.
+    """
+    lengths = encoded.attention_mask.sum(axis=1)
+    order = np.argsort(lengths, kind="stable")
+    triples = [None] * len(order)
+    for start in range(0, len(order), chunk):
+        rows = order[start:start + chunk]
+        width = int(lengths[rows[-1]])
+        piece = EncodedBatch(token_ids=encoded.token_ids[rows, :width],
+                             attention_mask=encoded.attention_mask[rows, :width])
         logits = forward_logits(params, config, pooler_kind, piece, mode="eval")
-        triples.extend(predict_labels(logits))
+        # argmax over logits equals argmax over softmax, so the heads'
+        # scores go straight to the label picker
+        for row, triple in zip(rows, predict_labels(logits)):
+            triples[row] = triple
     return triples
 
 

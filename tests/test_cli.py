@@ -1,15 +1,18 @@
 """Command-line behaviour: exit codes, report formats, pipeline identities."""
 
+import importlib
 import json
 import struct
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from trihead.assets import asset_path
 from trihead.cli import _load_run_config, main
 from trihead.data import load_checkpoint, load_dataset
+from trihead.optim import clip_global_norm
 
 TRAIN_TSV = str(asset_path("synth_train.tsv"))
 DEV_TSV = str(asset_path("synth_dev.tsv"))
@@ -96,6 +99,30 @@ def test_divergent_pretrain_exits_4(tmp_path, capsys):
                        "--d-model", "16", "--max-len", "16")
     assert code == 4
     assert "step" in err
+
+
+@pytest.mark.parametrize("command, module, argv", [
+    ("train", "trihead.train", ["--data", TRAIN_TSV, *FAST]),
+    ("pretrain", "trihead.encoder", ["--corpus", CORPUS_TXT, "--steps", "5",
+                                     "--d-model", "16", "--max-len", "16"]),
+])
+def test_nan_gradient_exits_4_at_the_poisoned_step(tmp_path, capsys, monkeypatch,
+                                                   command, module, argv):
+    real_clip = clip_global_norm
+    calls = []
+
+    def poison_step_2(params, max_norm):
+        if len(calls) == 2:
+            next(iter(params.values())).grad[...] = np.nan
+        calls.append(max_norm)
+        return real_clip(params, max_norm)
+
+    # trihead.train is also the name of a function, so import the module
+    monkeypatch.setattr(importlib.import_module(module), "clip_global_norm", poison_step_2)
+    code, _, err = run(capsys, command, *argv, "--out", str(tmp_path / "run"))
+    assert code == 4
+    assert "non-finite gradient norm at step 2" in err
+    assert len(calls) == 3
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +262,13 @@ def drop_last_param(header):
     (drop_last_param, 8, "missing parameters ['heads.communal.b']"),
     (lambda h: h.update(meta=[1, 2]), 0, "meta must be a JSON object"),
     (lambda h: h.update(pooler="max"), 0, "pooler 'max'"),
-], ids=["missing-param", "meta-list", "bad-pooler"])
+    (lambda h: h["encoder_config"].update(d_model=16.0), 0,
+     "encoder_config.d_model must be an integer, got 16.0"),
+    (lambda h: h["meta"].update(emoji_map=["x"]), 0,
+     "meta.emoji_map must be a JSON object, got list"),
+    (lambda h: h["vocab"].__setitem__(5, 7), 0, "vocab[5] must be a string, got 7"),
+], ids=["missing-param", "meta-list", "bad-pooler", "float-d-model", "emoji-map-list",
+        "int-token"])
 def test_hand_edited_checkpoint_is_a_data_error(trained, tmp_path, capsys,
                                                 edit, drop_tail, message):
     bad = edit_checkpoint(trained, tmp_path / "bad.ckpt", edit, drop_tail)

@@ -222,6 +222,27 @@ def test_checkpoint_file_changes_when_weights_change(tmp_path):
     assert a.read_bytes() != b.read_bytes()
 
 
+class FailsMidWrite(dict):
+    """A parameter table whose blobs stop coming after the first one."""
+
+    def values(self):
+        it = iter(super().values())
+        yield next(it)
+        raise OSError("disk full")
+
+
+def test_failed_save_keeps_the_earlier_checkpoint(tmp_path):
+    p = tmp_path / "m.ckpt"
+    save_checkpoint(small_checkpoint(seed=0), p)
+    before = p.read_bytes()
+    ck = small_checkpoint(seed=1)
+    ck.params = FailsMidWrite(ck.params)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(ck, p)
+    assert p.read_bytes() == before
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["m.ckpt"]
+
+
 def test_checkpoint_rejects_float64_params(tmp_path):
     ck = small_checkpoint()
     from trihead.autograd import Tensor
@@ -359,6 +380,31 @@ def rename_last_param(header):
                  r"malformed parameter table entry .*\[-1, 16\]", id="negative_dim"),
 ])
 def test_parameter_table_mismatch_is_rejected(tmp_path, edit, message):
+    with pytest.raises(CheckpointFormatError, match=message):
+        load_checkpoint(corrupt(tmp_path, rewrite_header(edit)))
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda h: h["encoder_config"].update(d_model=8.0),
+                 "encoder_config.d_model must be an integer, got 8.0", id="float_d_model"),
+    pytest.param(lambda h: h["encoder_config"].update(n_layers=True),
+                 "encoder_config.n_layers must be an integer, got True", id="bool_n_layers"),
+    pytest.param(lambda h: h["encoder_config"].update(dropout_p="0.1"),
+                 "encoder_config.dropout_p must be a number, got '0.1'", id="string_dropout"),
+    pytest.param(lambda h: h.update(encoder_config=[8]),
+                 "encoder_config must be a JSON object, got list", id="list_config"),
+    pytest.param(lambda h: h["vocab"].__setitem__(5, 7),
+                 r"vocab\[5\] must be a string, got 7", id="int_token"),
+    pytest.param(lambda h: h.update(vocab="abc"),
+                 "vocab must be a JSON list, got str", id="string_vocab"),
+    pytest.param(lambda h: h["meta"].update(emoji_map=["x"]),
+                 "meta.emoji_map must be a JSON object, got list", id="list_emoji_map"),
+    pytest.param(lambda h: h["meta"].update(emoji_map={"x": 1}),
+                 r"meta.emoji_map\['x'\] must be a string, got 1", id="int_emoji_word"),
+    pytest.param(lambda h: h["meta"].update(emoji_map={"": "hasi"}),
+                 "emoji map: empty key", id="empty_emoji_key"),
+])
+def test_malformed_header_contents_are_rejected(tmp_path, edit, message):
     with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(corrupt(tmp_path, rewrite_header(edit)))
 

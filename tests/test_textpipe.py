@@ -20,6 +20,7 @@ from trihead.textpipe import (
     EmojiMap,
     Vocab,
     balance,
+    batch_encode,
     build_vocab,
     encode,
     normalize,
@@ -243,6 +244,19 @@ def test_encode_ids_in_range_and_cls_first(words):
     assert ids.max() < v.size and ids.min() >= 0
     # mask is monotone non-increasing
     assert all(mask[i] >= mask[i + 1] for i in range(len(mask) - 1))
+
+
+def test_batch_encode_equals_stacked_encode():
+    v = build_vocab(["ami tumi bhalo", "kharap bhalo ami"], 20)
+    texts = ["ami bhalo", "", "ami tumi bhalo kharap bhalo ami tumi", "Qx ami", "tumi"]
+    batch = batch_encode(texts, v, max_len=5)
+    pairs = [encode(t, v, max_len=5) for t in texts]
+    assert batch.token_ids.dtype == batch.attention_mask.dtype == np.int64
+    assert np.array_equal(batch.token_ids, np.stack([p[0] for p in pairs]))
+    assert np.array_equal(batch.attention_mask, np.stack([p[1] for p in pairs]))
+    assert batch.attention_mask[2].all()  # truncated
+    assert batch.attention_mask[1].sum() == 1  # empty text keeps its [CLS]
+    assert UNK_ID in batch.token_ids[3]
 
 
 def test_in_corpus_text_never_needs_unk():

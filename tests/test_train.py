@@ -14,14 +14,15 @@ from trihead.errors import (
     DataError,
     DivergenceError,
 )
-from trihead.metrics import TriLabel
+from trihead.metrics import TASK_LABELS, TASKS, TriLabel
 from trihead.optim import lr_at
-from trihead.textpipe import build_vocab, normalize
+from trihead.textpipe import EncodedBatch, batch_encode, build_vocab, normalize
 from trihead.train import (
     Checkpoint,
     EncoderInit,
     TrainConfig,
     evaluate,
+    forward_logits,
     init_model_params,
     predict,
     trace_to_csv,
@@ -303,3 +304,76 @@ def test_evaluate_empty_dataset_rejected():
     _, ck = overfit_checkpoint()
     with pytest.raises(DataError, match="empty"):
         evaluate(ck, [])
+
+
+# ---------------------------------------------------------------------------
+# padding: predict runs rows shortest first, each chunk of 64 cut to its
+# longest real row
+
+
+@pytest.fixture(scope="module")
+def overfit():
+    return overfit_checkpoint()
+
+
+def varied_texts(data, n, seed=0):
+    """n texts of 1 to 14 words from data's vocabulary: rows from two
+    tokens to past max_len."""
+    rng = np.random.default_rng(seed)
+    words = sorted({w for ex in data for w in normalize(ex.text).split()})
+    return [" ".join(rng.choice(words, size=rng.integers(1, 15))) for _ in range(n)]
+
+
+def assert_labels_match_rows_alone(ck, texts, labels):
+    """Each predicted label lies within 1e-4 of the top logit of a
+    full-width forward of its row alone."""
+    assert len(labels) == len(texts)
+    for text, label in zip(texts, labels):
+        alone = batch_encode([normalize(text)], ck.vocab, ck.config.max_len)
+        logits = forward_logits(ck.params, ck.config, ck.pooler_kind, alone)
+        for task in TASKS:
+            row = logits[task].data[0]
+            picked = row[TASK_LABELS[task].index(label.get(task))]
+            assert picked >= row.max() - 1e-4, (text, task)
+
+
+def test_predict_labels_match_each_row_predicted_alone(overfit):
+    data, ck = overfit
+    texts = varied_texts(data, 150)  # three chunks, each its own width
+    assert_labels_match_rows_alone(ck, texts, predict(ck, texts))
+
+
+def test_length_shuffled_input_gives_permuted_predictions(overfit):
+    data, ck = overfit
+    texts = varied_texts(data, 150, seed=1)
+    labels = predict(ck, texts)
+    perm = np.random.default_rng(2).permutation(len(texts))
+    assert predict(ck, [texts[i] for i in perm]) == [labels[i] for i in perm]
+
+
+def test_chunk_mixing_max_len_and_two_token_rows(overfit):
+    data, ck = overfit
+    long_text = " ".join(normalize(ex.text) for ex in data[:4])
+    texts = ["maar", long_text, "shanto", "meye", long_text[::-1]]
+    lengths = batch_encode(texts, ck.vocab, ck.config.max_len).attention_mask.sum(axis=1)
+    assert lengths.tolist() == [2, ck.config.max_len, 2, 2, ck.config.max_len]
+    assert_labels_match_rows_alone(ck, texts, predict(ck, texts))
+
+
+@pytest.mark.parametrize("pooler", ["attention", "mean"])
+def test_forward_logits_ignore_what_sits_in_padding(overfit, pooler):
+    data, ck = overfit
+    params = init_model_params(ck.config, pooler, seed=5)
+    rng = np.random.default_rng(6)
+    for name, t in params.items():
+        if not name.startswith("encoder."):
+            t.data[...] = rng.normal(0.0, 1.0, t.shape)
+    batch = batch_encode(varied_texts(data, 40), ck.vocab, ck.config.max_len)
+    ids = batch.token_ids.copy()
+    pad = batch.attention_mask == 0
+    ids[pad] = rng.integers(0, ck.vocab.size, int(pad.sum()))
+    noisy = EncodedBatch(token_ids=ids, attention_mask=batch.attention_mask)
+    clean = forward_logits(params, ck.config, pooler, batch)
+    dirty = forward_logits(params, ck.config, pooler, noisy)
+    for task in TASKS:
+        assert np.array_equal(clean[task].data, dirty[task].data), task
