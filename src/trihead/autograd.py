@@ -34,8 +34,8 @@ class Node:
 class Tensor:
     """Dense float array, optionally participating in the autodiff graph.
 
-    grad, when present, always has the same shape as data. Tensors with
-    requires_grad=False never accumulate gradient.
+    Only leaves (no recorded node) hold .grad, always shaped like data;
+    tensors with requires_grad=False never accumulate gradient.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "node")
@@ -72,11 +72,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def detach(self):
-        """Copy of the values, cut loose from the graph."""
-        return Tensor(self.data.copy())
-
-    def zero_grad(self):
-        self.grad = None
+        """Copy of the values, in their dtype, cut loose from the graph."""
+        return Tensor(self.data.copy(), dtype=self.data.dtype)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -365,9 +362,9 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate dLoss/dT into .grad for every requires_grad tensor
-    reachable from loss. Calling again without clearing grads adds another
-    full pass (gradients double).
+    """Accumulate dLoss/dT into .grad for every requires_grad leaf
+    reachable from loss; interior tensors get no .grad. Calling again
+    without clearing grads adds another full pass (gradients double).
     """
     if loss.size != 1:
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -399,8 +396,6 @@ def backward(loss: Tensor) -> None:
         g = pass_grads.pop(id(t), None)
         if g is None:
             continue
-        if t.requires_grad:
-            t.grad = g.copy() if t.grad is None else t.grad + g
         for inp, gi in zip(t.node.inputs, t.node.backward_fn(g)):
             if gi is None or not inp.requires_grad:
                 continue

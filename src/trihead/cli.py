@@ -32,8 +32,9 @@ from .data import (
 from .encoder import EncoderConfig, PretrainSchedule, pretrain_mlm
 from .errors import CheckpointFormatError, ConfigError, DataError, DivergenceError
 from .metrics import score_triples
-from .textpipe import EmojiMap, balance, build_vocab, normalize
+from .textpipe import EmojiMap, balance, build_vocab, normalize, read_utf8
 from .train import (
+    POOLER_KINDS,
     Checkpoint,
     EncoderInit,
     TrainConfig,
@@ -79,6 +80,27 @@ RunConfig = dataclasses.make_dataclass(
 _CONFIG_KEYS = set(_DEFAULTS)
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+# What a config-file value must be, by the type of its key's default; a
+# path key (default None) may also be null.
+_FILE_TYPES = {
+    bool: ("true or false", lambda v: isinstance(v, bool)),
+    int: ("an integer", lambda v: type(v) is int),
+    float: ("a number", _is_number),
+    str: ("a string", lambda v: isinstance(v, str)),
+    type(None): ("a string", lambda v: v is None or isinstance(v, str)),
+}
+_LIST_TYPES = {
+    "task_loss_weights": ("a list of numbers",
+                          lambda v: isinstance(v, list) and all(map(_is_number, v))),
+    "freeze": ("a list of strings",
+               lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+}
+
+
 def _library_config(cls, cfg: RunConfig, keys=None, **given):
     """cls built from the run config's values for its fields."""
     keys = keys or {}
@@ -92,7 +114,7 @@ def _load_run_config(config_path, flag_values: dict) -> RunConfig:
     merged: dict = {}
     if config_path is not None:
         try:
-            raw = Path(config_path).read_text(encoding="utf-8")
+            raw = read_utf8(config_path)
         except OSError as e:
             raise DataError(f"cannot read config file: {e}") from None
         try:
@@ -104,6 +126,11 @@ def _load_run_config(config_path, flag_values: dict) -> RunConfig:
         unknown = sorted(set(file_values) - _CONFIG_KEYS)
         if unknown:
             raise ConfigError(f"{config_path}: unknown config keys {unknown}")
+        for key, value in file_values.items():
+            want, ok = _LIST_TYPES.get(key) or _FILE_TYPES[type(_DEFAULTS[key])]
+            if not ok(value):
+                raise ConfigError(f"{config_path}: config key {key!r} must be {want}, "
+                                  f"got {json.dumps(value)}")
         merged.update(file_values)
     merged.update({k: v for k, v in flag_values.items()
                    if k in _CONFIG_KEYS and v is not None})
@@ -223,7 +250,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args.config, vars(args))
     corpus_path = _require(cfg, "data", "--corpus")
     try:
-        raw = Path(corpus_path).read_text(encoding="utf-8")
+        raw = read_utf8(corpus_path)
     except OSError as e:
         raise DataError(f"cannot read corpus: {e}") from None
     emoji_map = _load_emoji_map(cfg)
@@ -291,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", default=None, help="labeled training TSV")
     p.add_argument("--dev", default=None, help="labeled dev TSV for model selection")
     p.add_argument("--out", default=None, help="directory for checkpoint + trace")
-    p.add_argument("--pooler", choices=("attention", "mean"), default=None)
+    p.add_argument("--pooler", choices=POOLER_KINDS, default=None)
     p.add_argument("--encoder", default=None,
                    help="warm-start from a pretrained encoder checkpoint "
                         "(its vocabulary and shape take over)")

@@ -27,7 +27,7 @@ from .autograd import Tensor
 from .encoder import EncoderConfig, init_encoder_params
 from .errors import CheckpointFormatError, DataError
 from .metrics import TriLabel
-from .textpipe import EmojiMap, Vocab
+from .textpipe import EmojiMap, Vocab, read_utf8
 from .train import POOLER_KINDS, Checkpoint, init_model_params, param_table_mismatch
 
 DATASET_HEADER = ("id", "text", "aggression", "gender", "communal")
@@ -85,8 +85,7 @@ class DistributionTable:
 
 
 def _read_rows(path, expected_header: tuple):
-    with open(path, encoding="utf-8", newline="") as fh:
-        lines = fh.read().split("\n")
+    lines = read_utf8(path, newline="").split("\n")
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -144,8 +143,7 @@ def write_dataset(examples, path) -> None:
 def load_prediction_input(path) -> list:
     """Rows to predict: (id, text) pairs from either a bare id/text TSV or a
     full labeled dataset file (labels ignored)."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
+    first = read_utf8(path).split("\n", 1)[0]
     if tuple(first.split("\t")) == DATASET_HEADER:
         return [(ex.id, ex.text) for ex in load_dataset(path, allow_empty_text=True)]
     return [(row_id, text) for _, (row_id, text) in _read_rows(path, PREDICTION_HEADER)]
@@ -154,8 +152,7 @@ def load_prediction_input(path) -> list:
 def load_labels(path) -> dict:
     """id → TriLabel from either a full dataset file or a text-less
     id + three-label TSV (the shape a scorer receives)."""
-    with open(path, encoding="utf-8") as fh:
-        first = fh.readline().rstrip("\n")
+    first = read_utf8(path).split("\n", 1)[0]
     if tuple(first.split("\t")) == DATASET_HEADER:
         return {ex.id: ex.labels for ex in load_dataset(path, allow_empty_text=True)}
     out = {}

@@ -16,7 +16,6 @@ import numpy as np
 from .autograd import (
     Tensor,
     add,
-    backward,
     cross_entropy,
     dropout,
     embedding_lookup,
@@ -29,7 +28,7 @@ from .autograd import (
     transpose,
 )
 from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
-from .optim import AdamW, clip_global_norm, lr_at
+from .optim import AdamW, lr_at, optimizer_step
 from .textpipe import CLS_ID, EncodedBatch, Vocab, batch_encode
 
 NEG_INF = -1e9
@@ -272,13 +271,5 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
         except NonFiniteError:
             # activations blew up before the loss could; same disease
             raise DivergenceError(step) from None
-        loss_value = loss.item()
-        if not np.isfinite(loss_value):
-            raise DivergenceError(step)
-        losses.append(loss_value)
-        opt.zero_grad()
-        backward(loss)
-        if not np.isfinite(clip_global_norm(params, 1.0)):
-            raise DivergenceError(step, "gradient norm")
-        opt.step(lr_at(step, schedule.steps, schedule))
+        losses.append(optimizer_step(opt, loss, step, lr_at(step, schedule.steps, schedule)))
     return params, losses

@@ -1,11 +1,11 @@
-"""AdamW, global-norm gradient clipping, and the linear LR schedule."""
+"""AdamW, global-norm gradient clipping, the LR schedule, and the one step."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor
-from .errors import ConfigError
+from .autograd import Tensor, backward
+from .errors import ConfigError, DivergenceError
 
 
 def lr_at(step: int, total_steps: int, config) -> float:
@@ -83,3 +83,19 @@ class AdamW:
     def zero_grad(self) -> None:
         for p in self.params.values():
             p.grad = None
+
+
+def optimizer_step(opt: AdamW, loss: Tensor, step: int, lr: float) -> float:
+    """Backward, clip the global gradient norm to 1.0, update at lr; returns
+    the loss value. A non-finite loss or norm raises DivergenceError(step)."""
+    value = loss.item()
+    if not np.isfinite(value):
+        raise DivergenceError(step)
+    opt.zero_grad()
+    backward(loss)
+    # NaN > 1 is false, so a NaN norm would pass unclipped into the
+    # parameters and surface only at the next step
+    if not np.isfinite(clip_global_norm(opt.params, 1.0)):
+        raise DivergenceError(step, "gradient norm")
+    opt.step(lr)
+    return value

@@ -46,6 +46,16 @@ def _strip_punctuation(text: str) -> str:
     return "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
 
 
+def read_utf8(path, newline=None) -> str:
+    """The whole file as text; a file that is not UTF-8 is a DataError
+    naming it and the first bad byte."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as fh:
+            return fh.read()
+    except UnicodeDecodeError as e:
+        raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
+
+
 class EmojiMap:
     """Emoji sequence → replacement words, loaded from a two-column TSV."""
 
@@ -68,20 +78,18 @@ class EmojiMap:
     @classmethod
     def from_tsv(cls, path) -> "EmojiMap":
         entries: dict[str, str] = {}
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, start=1):
-                line = line.rstrip("\n")
-                if not line.strip() or line.lstrip().startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise DataError(
-                        f"{path}:{lineno}: expected `emoji<TAB>replacement`, got {len(parts)} columns"
-                    )
-                key, repl = parts[0], parts[1].strip()
-                if key in entries:
-                    raise DataError(f"{path}:{lineno}: duplicate emoji key {key!r}")
-                entries[key] = repl
+        for lineno, line in enumerate(read_utf8(path).split("\n"), start=1):
+            if not line.strip() or line.lstrip().startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 2:
+                raise DataError(
+                    f"{path}:{lineno}: expected `emoji<TAB>replacement`, got {len(parts)} columns"
+                )
+            key, repl = parts[0], parts[1].strip()
+            if key in entries:
+                raise DataError(f"{path}:{lineno}: duplicate emoji key {key!r}")
+            entries[key] = repl
         return cls(entries)
 
     def apply(self, text: str) -> str:

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
-from .autograd import Tensor, add, backward, cross_entropy, dropout, scale
+from .autograd import Tensor, add, cross_entropy, dropout, scale
 from .encoder import EncoderConfig, encode_batch, init_encoder_params
 from .errors import (
     CheckpointFormatError,
@@ -26,7 +26,7 @@ from .errors import (
     NonFiniteError,
 )
 from .metrics import TASK_LABELS, TASKS, MetricsReport, TriLabel, score_triples
-from .optim import AdamW, clip_global_norm, lr_at
+from .optim import AdamW, lr_at, optimizer_step
 from .pooling import attention_pool, logits_for, mean_pool, predict_labels
 from .textpipe import EmojiMap, EncodedBatch, Vocab, batch_encode, normalize
 
@@ -110,7 +110,7 @@ class TrainResult:
     best_epoch: int | None
 
 
-TRACE_FIELDS = ("step", "lr", "loss", "loss_aggression", "loss_gender", "loss_communal")
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
 
 
 def trace_to_csv(rows) -> str:
@@ -118,8 +118,7 @@ def trace_to_csv(rows) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(TRACE_FIELDS)
     for r in rows:
-        writer.writerow([r.step, repr(r.lr), repr(r.loss), repr(r.loss_aggression),
-                         repr(r.loss_gender), repr(r.loss_communal)])
+        writer.writerow([repr(getattr(r, name)) for name in TRACE_FIELDS])
     return buf.getvalue()
 
 
@@ -267,17 +266,8 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
             loss = add(add(scale(task_losses["aggression"], weights[0]),
                            scale(task_losses["gender"], weights[1])),
                        scale(task_losses["communal"], weights[2]))
-            loss_value = loss.item()
-            if not np.isfinite(loss_value):
-                raise DivergenceError(step)
             lr = lr_at(step, total_steps, config)
-            opt.zero_grad()
-            backward(loss)
-            # NaN > 1 is false, so a NaN norm would pass unclipped into the
-            # parameters and surface only at the next step
-            if not np.isfinite(clip_global_norm(params, 1.0)):
-                raise DivergenceError(step, "gradient norm")
-            opt.step(lr)
+            loss_value = optimizer_step(opt, loss, step, lr)
             trace.append(TraceRow(step, lr, loss_value,
                                   task_losses["aggression"].item(),
                                   task_losses["gender"].item(),
@@ -319,6 +309,7 @@ def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch,
     does; only the logits' last bits can move, because BLAS sums a shorter
     row in another order.
     """
+    params = {k: t.detach() for k, t in params.items()}  # forward only: no graph
     lengths = encoded.attention_mask.sum(axis=1)
     order = np.argsort(lengths, kind="stable")
     triples = [None] * len(order)

@@ -154,6 +154,20 @@ def test_broadcast_add_unbroadcasts_gradient():
     np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
 
+def test_only_leaves_hold_gradients():
+    # the diamond above, plus a broadcast bias: d/dx = 8x, d/db = 2
+    x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
+    b = Tensor([0.0], requires_grad=True, dtype=np.float64)
+    s = scale(x, 2.0)
+    sq = mul(s, s)
+    biased = add(sq, b)
+    loss = sum_over(biased)
+    backward(loss)
+    assert all(t.grad is None for t in (s, sq, biased, loss))
+    np.testing.assert_allclose(x.grad, [8.0, 16.0], rtol=1e-12)
+    np.testing.assert_allclose(b.grad, [2.0], rtol=1e-12)
+
+
 def test_leaf_grad_accumulates_across_separate_graphs():
     w = Tensor([1.0], requires_grad=True)
     backward(sum_over(scale(w, 2.0)))

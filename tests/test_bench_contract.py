@@ -1,0 +1,56 @@
+"""The benchmark's tracer still finds every name it patches in trihead.
+
+perfbench/tracing.py wraps trihead's functions by name from outside the
+package. A tiny traced train with a dev split, then a predict, checks
+that those names are still there and still do what the per-layer
+metrics assume: training records a graph, forward-only passes record
+none, and the step clock stamps both optimizer steps and predicted chunks.
+"""
+
+import importlib.util
+import sys
+from pathlib import Path
+
+from trihead.assets import asset_path
+from trihead.data import load_dataset
+from trihead.encoder import EncoderConfig
+from trihead.textpipe import build_vocab, normalize
+from trihead.train import EncoderInit, TrainConfig
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_patches_a_train_and_a_predict():
+    tracing = load_tracing()
+    data = load_dataset(asset_path("synth_train.tsv"))[:16]
+    dev = load_dataset(asset_path("synth_dev.tsv"))[:8]
+    vocab = build_vocab([normalize(ex.text) for ex in data], target_size=120)
+    init = EncoderInit(config=EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
+                                            n_heads=2, d_ff=32, max_len=12),
+                       vocab=vocab)
+    # trihead.train is also the name of a function; the tracer patches the module
+    module = sys.modules["trihead.train"]
+    tracer, clock = tracing.Tracer(), tracing.StepClock()
+    tracer.install()
+    clock.install()
+    try:
+        result = module.train(data, TrainConfig(epochs=1, base_lr=1e-3), init, dev=dev)
+        module.predict(result.checkpoint, [ex.text for ex in dev])
+    finally:
+        clock.uninstall()
+        tracer.uninstall()
+
+    name, ok, detail = tracing.encoder_site_check(tracer)
+    assert ok, f"{name}: {detail}"
+    layers, _ = tracing.layer_metrics(tracer, "train")
+    assert layers["autograd.nodes_per_step"] > 0
+    assert layers["autograd.eval_nodes_per_chunk"] == 0
+    assert len(clock.steps) == 2  # 16 rows in batches of 8
+    assert len(clock.chunks) == 2  # one dev eval, one predict

@@ -68,6 +68,39 @@ def test_invalid_config_json_is_a_config_error(tmp_path, capsys):
     assert code == 2
 
 
+WRONG_TYPED = {"epochs": "5", "task_loss_weights": 5, "freeze": 5, "seed": "x",
+               "max_len": None, "base_lr": "1e-3", "dropout_p": [0.1]}
+
+
+@pytest.mark.parametrize("key", WRONG_TYPED)
+def test_wrong_typed_config_value_is_a_config_error(tmp_path, capsys, key):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({key: WRONG_TYPED[key]}))
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--config", str(cfg))
+    assert code == 2
+    assert f"config key {key!r} must be" in err
+
+
+# a Latin-1 e-acute: one byte that no UTF-8 sequence starts with
+LATIN1 = "caf\xe9".encode("latin-1")
+
+
+@pytest.mark.parametrize("flag, argv, content", [
+    ("--data", ["stats"], HEADER.encode() + b"\na\t" + LATIN1 + b"\tNAG\tNGEN\tNCOM\n"),
+    ("--pred", ["score", "--gold", TRAIN_TSV],
+     b"id\taggression\tgender\tcommunal\n" + LATIN1 + b"\tNAG\tNGEN\tNCOM\n"),
+    ("--corpus", ["pretrain", "--out", "unused"], b"ami " + LATIN1 + b" khub\n"),
+    ("--config", ["stats", "--data", TRAIN_TSV], b'{"out": "' + LATIN1 + b'"}'),
+    ("--emoji-map", ["train", "--data", TRAIN_TSV, *FAST], LATIN1 + b"\tsmile\n"),
+], ids=["stats-data", "score-pred", "pretrain-corpus", "config", "train-emoji-map"])
+def test_non_utf8_file_is_a_data_error_naming_it(tmp_path, capsys, flag, argv, content):
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes(content)
+    code, _, err = run(capsys, *argv, flag, str(bad))
+    assert code == 3
+    assert f"{bad}: not UTF-8 text" in err
+
+
 def test_eval_on_empty_dataset_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(capsys, "train", "--data", TRAIN_TSV, "--out", str(out),
@@ -117,8 +150,11 @@ def test_nan_gradient_exits_4_at_the_poisoned_step(tmp_path, capsys, monkeypatch
         calls.append(max_norm)
         return real_clip(params, max_norm)
 
+    # both loops clip inside optim.optimizer_step, never on their own;
     # trihead.train is also the name of a function, so import the module
-    monkeypatch.setattr(importlib.import_module(module), "clip_global_norm", poison_step_2)
+    assert not hasattr(importlib.import_module(module), "clip_global_norm")
+    monkeypatch.setattr(importlib.import_module("trihead.optim"), "clip_global_norm",
+                        poison_step_2)
     code, _, err = run(capsys, command, *argv, "--out", str(tmp_path / "run"))
     assert code == 4
     assert "non-finite gradient norm at step 2" in err

@@ -1,5 +1,6 @@
 """Fine-tuning loop: schedule, losses, determinism, freezing, prediction."""
 
+import importlib
 import math
 from types import SimpleNamespace
 
@@ -377,3 +378,55 @@ def test_forward_logits_ignore_what_sits_in_padding(overfit, pooler):
     dirty = forward_logits(params, ck.config, pooler, noisy)
     for task in TASKS:
         assert np.array_equal(clean[task].data, dirty[task].data), task
+
+
+# ---------------------------------------------------------------------------
+# forward-only passes record no graph
+
+
+@pytest.fixture
+def chunk_logits(monkeypatch):
+    """Every logits dict the forward-only path hands to predict_labels."""
+    # trihead.train is also the name of a function, so import the module
+    module = importlib.import_module("trihead.train")
+    real, seen = module.predict_labels, []
+
+    def capture(logits):
+        seen.append(logits)
+        return real(logits)
+
+    monkeypatch.setattr(module, "predict_labels", capture)
+    return seen
+
+
+def assert_no_graph(chunks):
+    assert chunks
+    for logits in chunks:
+        assert all(t.node is None and not t.requires_grad for t in logits.values())
+
+
+def test_predict_and_evaluate_record_no_graph(overfit, chunk_logits):
+    data, ck = overfit
+    predict(ck, varied_texts(data, 100))
+    assert_no_graph(chunk_logits)
+    chunk_logits.clear()
+    evaluate(ck, data)
+    assert_no_graph(chunk_logits)
+    assert all(t.requires_grad for t in ck.params.values())
+
+
+def test_dev_eval_records_no_graph_and_leaves_params_trainable(chunk_logits, monkeypatch):
+    module = importlib.import_module("trihead.train")
+    real_eval, tables = module._evaluate_params, []
+
+    def evaluate_then_check(params, *args):
+        report = real_eval(params, *args)
+        tables.append(all(t.requires_grad for t in params.values()))
+        return report
+
+    monkeypatch.setattr(module, "_evaluate_params", evaluate_then_check)
+    data = toy_dataset(16, seed=1)
+    train(data, cfg(epochs=2, batch_size=8, base_lr=2e-3), toy_init(data),
+          dev=toy_dataset(8, seed=2))
+    assert tables == [True, True]
+    assert_no_graph(chunk_logits)
