@@ -15,6 +15,7 @@ from trihead.autograd import (
     cross_entropy,
     grad_check,
     matmul,
+    reshape,
     softmax,
 )
 
@@ -34,7 +35,7 @@ print("probs: ", probs.data.ravel().tolist())
 
 # 3. backward() walks the recorded graph from a scalar and fills .grad on
 #    every leaf. Cross-entropy against class 0 gives us a scalar to pull on.
-loss = cross_entropy(scores.reshape((1, 2)), np.array([0]))
+loss = cross_entropy(reshape(scores, (1, 2)), np.array([0]))
 print("loss:  ", float(loss.data))
 backward(loss)
 print("dloss/dw:", w.grad.ravel().tolist())
@@ -43,7 +44,7 @@ print("dloss/db:", b.grad.ravel().tolist())
 # 4. Gradients accumulate until cleared, so a second backward pass doubles
 #    every leaf gradient. Optimizers here call zero_grad between steps.
 before = w.grad.copy()
-loss2 = cross_entropy(add(matmul(x, w), b).reshape((1, 2)), np.array([0]))
+loss2 = cross_entropy(reshape(add(matmul(x, w), b), (1, 2)), np.array([0]))
 backward(loss2)
 print("accumulated twice:", bool(np.allclose(w.grad, 2 * before)))
 
@@ -54,7 +55,7 @@ x64 = Tensor(x.data.astype(np.float64), dtype=np.float64)
 
 
 def f(probe):
-    return cross_entropy(matmul(x64, probe).reshape((1, 2)), np.array([0]))
+    return cross_entropy(reshape(matmul(x64, probe), (1, 2)), np.array([0]))
 
 
 report = grad_check(f, w64)

@@ -16,6 +16,7 @@ the blobs round-trip bit for bit; nothing in the file is executed.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import asdict, dataclass, fields
@@ -24,11 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .encoder import EncoderConfig, init_encoder_params
+from .encoder import EncoderConfig, param_specs
 from .errors import CheckpointFormatError, DataError
 from .metrics import TriLabel
 from .textpipe import EmojiMap, Vocab, read_utf8
-from .train import POOLER_KINDS, Checkpoint, init_model_params, param_table_mismatch
+from .train import POOLER_KINDS, Checkpoint, model_param_specs
 
 DATASET_HEADER = ("id", "text", "aggression", "gender", "communal")
 PREDICTION_HEADER = ("id", "text")
@@ -92,9 +93,11 @@ def _read_rows(path, expected_header: tuple):
         raise DataError(f"{path}: empty file, expected header {_fmt_header(expected_header)}")
     header = tuple(lines[0].split("\t"))
     if header != expected_header:
-        raise DataError(
-            f"{path}:1: bad header {_fmt_header(header)}, expected {_fmt_header(expected_header)}"
-        )
+        # a raw \r in the message would hide itself, so it is named instead
+        crlf = lines[0].endswith("\r")
+        shown = _fmt_header(lines[0].removesuffix("\r").split("\t"))
+        raise DataError(f"{path}:1: bad header {shown}, expected {_fmt_header(expected_header)}"
+                        + ("; the line ends in \\r (Windows line endings)" if crlf else ""))
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
         fields = line.split("\t")
@@ -254,7 +257,8 @@ def _header_contents_problem(header: dict):
 
 def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file back; every structural problem gets its own
-    message (magic, version, header, truncation, trailing garbage)."""
+    message (magic, version, header, parameter table against the spec,
+    truncation, non-finite weights, trailing garbage)."""
     raw = Path(path).read_bytes()
     if len(raw) < 12:
         raise CheckpointFormatError(f"{path}: file too short to be a checkpoint")
@@ -274,6 +278,10 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[12:12 + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as e:
         raise CheckpointFormatError(f"{path}: unreadable header: {e}") from None
+    if not isinstance(header, dict):
+        raise CheckpointFormatError(
+            f"{path}: header must be a JSON object, got {type(header).__name__}"
+        )
     required = {"kind", "encoder_config", "vocab", "pooler", "params", "meta"}
     missing = required - set(header)
     if missing:
@@ -311,6 +319,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: params must be a JSON list, got {type(header['params']).__name__}"
         )
+    # the header's table is walked against the spec in step, so its numbers
+    # never size an allocation or a loop before they have matched
+    specs = model_param_specs(config, pooler) if kind == "model" else param_specs(config)
     params: dict[str, Tensor] = {}
     offset = 12 + header_len
     for entry in header["params"]:
@@ -323,24 +334,30 @@ def load_checkpoint(path) -> Checkpoint:
                 f"{path}: malformed parameter table entry {entry}, expected "
                 '{"name": string, "shape": [non-negative ints]}'
             )
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape)) if shape else 1
-        nbytes = 4 * count
-        if offset + nbytes > len(raw):
+        name, shape = entry["name"], tuple(entry["shape"])
+        spec = next(specs, None)
+        if spec is None or name != spec[0]:
+            expected = f", expected {spec[0]!r}" if spec else ""
+            raise CheckpointFormatError(f"{path}: unexpected parameter {name!r}{expected}")
+        if shape != spec[1]:
             raise CheckpointFormatError(
-                f"{path}: parameter data truncated at {entry['name']!r}"
+                f"{path}: parameter {name!r} has shape {shape}, expected {spec[1]}"
             )
+        count = math.prod(shape)
+        if offset + 4 * count > len(raw):
+            raise CheckpointFormatError(f"{path}: parameter data truncated at {name!r}")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
-        params[entry["name"]] = Tensor(arr.copy(), requires_grad=True)
-        offset += nbytes
+        if not np.isfinite(arr).all():
+            raise CheckpointFormatError(f"{path}: parameter {name!r} contains NaN or Inf")
+        params[name] = Tensor(arr.copy(), requires_grad=True)
+        offset += 4 * count
+    spec = next(specs, None)
+    if spec is not None:
+        more = ", ..." if next(specs, None) else ""
+        raise CheckpointFormatError(f"{path}: missing parameters [{spec[0]!r}{more}]")
     if offset != len(raw):
         raise CheckpointFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after parameter data"
         )
-    expected = (init_model_params(config, pooler, 0) if kind == "model"
-                else init_encoder_params(config, 0))
-    problem = param_table_mismatch(expected, params)
-    if problem:
-        raise CheckpointFormatError(f"{path}: {problem}")
     return Checkpoint(kind=kind, config=config, vocab=vocab, pooler_kind=pooler,
                       params=params, meta=header["meta"])

@@ -48,6 +48,9 @@ class EncoderConfig:
     def __post_init__(self):
         if self.vocab_size < _N_SPECIAL + 1:
             raise ConfigError(f"vocab_size must exceed the {_N_SPECIAL} reserved ids")
+        for field in ("d_model", "n_layers", "n_heads", "d_ff"):
+            if getattr(self, field) < 1:
+                raise ConfigError(f"{field} must be positive")
         if self.d_model % self.n_heads != 0:
             raise ConfigError(
                 f"d_model {self.d_model} not divisible by n_heads {self.n_heads}"
@@ -56,58 +59,53 @@ class EncoderConfig:
             raise ConfigError(f"max_len must be at least 2, got {self.max_len}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
-        for field in ("d_model", "n_layers", "n_heads", "d_ff"):
-            if getattr(self, field) < 1:
-                raise ConfigError(f"{field} must be positive")
 
     @property
     def d_head(self) -> int:
         return self.d_model // self.n_heads
 
 
-def init_encoder_params(config: EncoderConfig, seed, dtype=np.float32) -> dict:
-    """Fresh parameter table, name → Tensor; N(0, 0.02) weights, standard
-    layer-norm affines, zero biases. Names are stable and ordered. seed may
-    be an int or a SeedSequence."""
-    rng = np.random.default_rng(seed)
-    std = 0.02
-
-    def w(*shape):
-        return Tensor(rng.normal(0.0, std, shape), requires_grad=True, dtype=dtype)
-
-    def zeros(*shape):
-        return Tensor(np.zeros(shape), requires_grad=True, dtype=dtype)
-
-    def ones(*shape):
-        return Tensor(np.ones(shape), requires_grad=True, dtype=dtype)
-
+def param_specs(config: EncoderConfig):
+    """(name, shape, fill) for every encoder parameter, in checkpoint blob
+    order; fill is 'normal' (N(0, 0.02)), 'zeros', 'ones' or 'eye'. The one
+    declaration of the table: init_encoder_params fills it, and
+    load_checkpoint checks a header against it without allocating."""
     d, ff = config.d_model, config.d_ff
-    params: dict[str, Tensor] = {
-        "tok_emb": w(config.vocab_size, d),
-        "pos_emb": w(config.max_len, d),
-    }
+    yield "tok_emb", (config.vocab_size, d), "normal"
+    yield "pos_emb", (config.max_len, d), "normal"
     for i in range(config.n_layers):
         p = f"layer{i}."
-        params[p + "ln1.gamma"] = ones(d)
-        params[p + "ln1.beta"] = zeros(d)
-        params[p + "attn.wq"] = w(d, d)
-        params[p + "attn.bq"] = zeros(d)
-        params[p + "attn.wk"] = w(d, d)
-        params[p + "attn.bk"] = zeros(d)
-        params[p + "attn.wv"] = w(d, d)
-        params[p + "attn.bv"] = zeros(d)
-        params[p + "attn.wo"] = w(d, d)
-        params[p + "attn.bo"] = zeros(d)
-        params[p + "ln2.gamma"] = ones(d)
-        params[p + "ln2.beta"] = zeros(d)
-        params[p + "ffn.w1"] = w(d, ff)
-        params[p + "ffn.b1"] = zeros(ff)
-        params[p + "ffn.w2"] = w(ff, d)
-        params[p + "ffn.b2"] = zeros(d)
-    params["ln_f.gamma"] = ones(d)
-    params["ln_f.beta"] = zeros(d)
-    params["mlm_bias"] = zeros(config.vocab_size)
-    return params
+        yield p + "ln1.gamma", (d,), "ones"
+        yield p + "ln1.beta", (d,), "zeros"
+        for x in "qkvo":
+            yield p + f"attn.w{x}", (d, d), "normal"
+            yield p + f"attn.b{x}", (d,), "zeros"
+        yield p + "ln2.gamma", (d,), "ones"
+        yield p + "ln2.beta", (d,), "zeros"
+        yield p + "ffn.w1", (d, ff), "normal"
+        yield p + "ffn.b1", (ff,), "zeros"
+        yield p + "ffn.w2", (ff, d), "normal"
+        yield p + "ffn.b2", (d,), "zeros"
+    yield "ln_f.gamma", (d,), "ones"
+    yield "ln_f.beta", (d,), "zeros"
+    yield "mlm_bias", (config.vocab_size,), "zeros"
+
+
+def fill_params(specs, seed, dtype=np.float32) -> dict:
+    """Fresh name → Tensor table for (name, shape, fill) specs; the normal
+    draws come from one generator in spec order. seed may be an int or a
+    SeedSequence."""
+    rng = np.random.default_rng(seed)
+    fills = {"normal": lambda shape: rng.normal(0.0, 0.02, shape),
+             "zeros": np.zeros, "ones": np.ones, "eye": lambda shape: np.eye(shape[0])}
+    return {name: Tensor(fills[fill](shape), requires_grad=True, dtype=dtype)
+            for name, shape, fill in specs}
+
+
+def init_encoder_params(config: EncoderConfig, seed, dtype=np.float32) -> dict:
+    """Fresh encoder table in param_specs order: N(0, 0.02) weights,
+    standard layer-norm affines, zero biases."""
+    return fill_params(param_specs(config), seed, dtype)
 
 
 def _attention(x, mask_bias, params, prefix, config, collect):

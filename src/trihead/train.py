@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .autograd import Tensor, add, cross_entropy, dropout, scale
-from .encoder import EncoderConfig, encode_batch, init_encoder_params
+from .encoder import EncoderConfig, encode_batch, fill_params, param_specs
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -145,8 +145,8 @@ def forward_logits(params: dict, config: EncoderConfig, pooler_kind: str,
             for t in TASKS}
 
 
-def init_model_params(config: EncoderConfig, pooler_kind: str, seed) -> dict:
-    """Flat name → Tensor table for the full model, in checkpoint blob order:
+def model_param_specs(config: EncoderConfig, pooler_kind: str):
+    """(name, shape, fill) for the full model, in checkpoint blob order:
     'encoder.*', then the attention pooler's query 'pooler.q' (d,) and
     projection 'pooler.w_h' (d×d), then 'heads.{task}.w' (d×C) and
     'heads.{task}.b' (C,) per task.
@@ -156,34 +156,24 @@ def init_model_params(config: EncoderConfig, pooler_kind: str, seed) -> dict:
     then moves both. Zero heads make the first loss the uniform baseline,
     ln 3 + 2 ln 2, whatever the encoder emits.
     """
-    d = config.d_model
-    flat = {f"encoder.{k}": v for k, v in init_encoder_params(config, seed).items()}
-    if pooler_kind == "attention":
-        flat["pooler.q"] = Tensor(np.zeros(d), requires_grad=True, dtype=np.float32)
-        flat["pooler.w_h"] = Tensor(np.eye(d), requires_grad=True, dtype=np.float32)
-    elif pooler_kind != "mean":
+    if pooler_kind not in POOLER_KINDS:
         raise ConfigError(f"unknown pooler kind {pooler_kind!r}")
+    for name, shape, fill in param_specs(config):
+        yield f"encoder.{name}", shape, fill
+    d = config.d_model
+    if pooler_kind == "attention":
+        yield "pooler.q", (d,), "zeros"
+        yield "pooler.w_h", (d, d), "eye"
     for task in TASKS:
         c = len(TASK_LABELS[task])
-        flat[f"heads.{task}.w"] = Tensor(np.zeros((d, c)), requires_grad=True, dtype=np.float32)
-        flat[f"heads.{task}.b"] = Tensor(np.zeros(c), requires_grad=True, dtype=np.float32)
-    return flat
+        yield f"heads.{task}.w", (d, c), "zeros"
+        yield f"heads.{task}.b", (c,), "zeros"
 
 
-def param_table_mismatch(expected: dict, given: dict, partial: bool = False):
-    """What keeps the name → Tensor table given from matching expected's
-    names and shapes, or None when it matches. partial allows given to
-    leave names out."""
-    for name, tensor in given.items():
-        if name not in expected:
-            return f"unexpected parameter {name!r}"
-        if tensor.shape != expected[name].shape:
-            return (f"parameter {name!r} has shape {tensor.shape}, "
-                    f"expected {expected[name].shape}")
-    missing = [name for name in expected if name not in given]
-    if missing and not partial:
-        return f"missing parameters {missing}"
-    return None
+def init_model_params(config: EncoderConfig, pooler_kind: str, seed) -> dict:
+    """Fresh name → Tensor table for the full model, in model_param_specs
+    order."""
+    return fill_params(model_param_specs(config, pooler_kind), seed)
 
 
 def _copy_params(params: dict) -> dict:
@@ -224,12 +214,13 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
     ss_init, ss_order, ss_drop = np.random.SeedSequence(config.seed).spawn(3)
     params = init_model_params(enc_config, config.pooler, ss_init)
     if encoder_init.params is not None:
-        given = {name if name.startswith("encoder.") else f"encoder.{name}": tensor
-                 for name, tensor in encoder_init.params.items()}
-        problem = param_table_mismatch(params, given, partial=True)
-        if problem:
-            raise ConfigError(f"pretrained encoder: {problem}")
-        for key, tensor in given.items():
+        for name, tensor in encoder_init.params.items():
+            key = name if name.startswith("encoder.") else f"encoder.{name}"
+            if key not in params:
+                raise ConfigError(f"pretrained encoder: unexpected parameter {key!r}")
+            if tensor.shape != params[key].shape:
+                raise ConfigError(f"pretrained encoder: parameter {key!r} has shape "
+                                  f"{tensor.shape}, expected {params[key].shape}")
             params[key] = Tensor(tensor.data.copy(), requires_grad=True,
                                  dtype=tensor.data.dtype)
     for name, tensor in params.items():
@@ -341,8 +332,14 @@ def predict(checkpoint: Checkpoint, texts) -> list:
         emoji_map = EmojiMap(checkpoint.meta["emoji_map"])
     cleaned = [normalize(t, emoji_map) for t in texts]
     encoded = batch_encode(cleaned, checkpoint.vocab, checkpoint.config.max_len)
-    triples = _predict_encoded(checkpoint.params, checkpoint.config,
-                               checkpoint.pooler_kind, encoded)
+    try:
+        triples = _predict_encoded(checkpoint.params, checkpoint.config,
+                                   checkpoint.pooler_kind, encoded)
+    except NonFiniteError:
+        # every loaded weight is finite, so the weights overflow float32
+        raise CheckpointFormatError(
+            "the model's forward pass overflows float32: its weights are out of range"
+        ) from None
     return [TriLabel(*t) for t in triples]
 
 

@@ -351,13 +351,3 @@ def test_detach_cuts_graph():
     x = Tensor([1.0], requires_grad=True)
     y = scale(x, 2.0).detach()
     assert y.node is None and not y.requires_grad
-
-
-def test_operator_sugar_matches_functions():
-    a = Tensor([1.0, 2.0], dtype=np.float64)
-    b = Tensor([3.0, 4.0], dtype=np.float64)
-    np.testing.assert_allclose((a + b).data, [4.0, 6.0])
-    np.testing.assert_allclose((a * b).data, [3.0, 8.0])
-    np.testing.assert_allclose((a - b).data, [-2.0, -2.0])
-    np.testing.assert_allclose((a * 2.0).data, [2.0, 4.0])
-    np.testing.assert_allclose((-a).data, [-1.0, -2.0])

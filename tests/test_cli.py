@@ -1,18 +1,28 @@
 """Command-line behaviour: exit codes, report formats, pipeline identities."""
 
+import contextlib
+import copy
 import importlib
+import io
 import json
+import math
+import signal
 import struct
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trihead.assets import asset_path
 from trihead.cli import _load_run_config, main
-from trihead.data import load_checkpoint, load_dataset
+from trihead.data import load_checkpoint, load_dataset, save_checkpoint
+from trihead.encoder import EncoderConfig
 from trihead.optim import clip_global_norm
+from trihead.textpipe import build_vocab
+from trihead.train import Checkpoint, init_model_params
 
 TRAIN_TSV = str(asset_path("synth_train.tsv"))
 DEV_TSV = str(asset_path("synth_dev.tsv"))
@@ -28,6 +38,24 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+# a malformed input gets its answer at once; this bounds each such case
+CASE_SECONDS = 5
+
+
+@contextlib.contextmanager
+def deadline(seconds=CASE_SECONDS):
+    """Raise TimeoutError in the block once it has run for seconds."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # ---------------------------------------------------------------------------
@@ -303,17 +331,148 @@ def drop_last_param(header):
     (lambda h: h["meta"].update(emoji_map=["x"]), 0,
      "meta.emoji_map must be a JSON object, got list"),
     (lambda h: h["vocab"].__setitem__(5, 7), 0, "vocab[5] must be a string, got 7"),
+    # the header's numbers must not size anything before they match the file
+    (lambda h: h["encoder_config"].update(d_model=100000), 0,
+     "parameter 'encoder.tok_emb' has shape"),
+    (lambda h: h["encoder_config"].update(max_len=10**9), 0,
+     "parameter 'encoder.pos_emb' has shape (12, 16), expected (1000000000, 16)"),
+    (lambda h: h["encoder_config"].update(n_layers=100000), 0,
+     "unexpected parameter 'encoder.ln_f.gamma', expected 'encoder.layer2.ln1.gamma'"),
+    (lambda h: h["encoder_config"].update(n_layers=10**9), 0,
+     "unexpected parameter 'encoder.ln_f.gamma', expected 'encoder.layer2.ln1.gamma'"),
 ], ids=["missing-param", "meta-list", "bad-pooler", "float-d-model", "emoji-map-list",
-        "int-token"])
+        "int-token", "huge-d-model", "huge-max-len", "n-layers-1e5", "n-layers-1e9"])
 def test_hand_edited_checkpoint_is_a_data_error(trained, tmp_path, capsys,
                                                 edit, drop_tail, message):
     bad = edit_checkpoint(trained, tmp_path / "bad.ckpt", edit, drop_tail)
     for argv in (["eval", "--model", str(bad), "--data", DEV_TSV],
                  ["predict", "--model", str(bad), "--input", DEV_TSV,
                   "--output", str(tmp_path / "pred.tsv")]):
-        code, _, err = run(capsys, *argv)
+        with deadline():
+            code, _, err = run(capsys, *argv)
         assert code == 3
         assert message in err
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("name, value, message", [
+    ("encoder.tok_emb", math.nan, "parameter 'encoder.tok_emb' contains NaN or Inf"),
+    ("encoder.tok_emb", math.inf, "parameter 'encoder.tok_emb' contains NaN or Inf"),
+    ("encoder.tok_emb", -math.inf, "parameter 'encoder.tok_emb' contains NaN or Inf"),
+    ("encoder.layer0.attn.wq", 3e38, "forward pass overflows float32"),
+], ids=["nan", "inf", "-inf", "overflow"])
+def test_nonfinite_weight_is_a_data_error(trained, tmp_path, capsys, name, value, message):
+    raw = bytearray(trained.read_bytes())
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    at = 12 + hlen
+    for entry in json.loads(raw[12:12 + hlen])["params"]:
+        if entry["name"] == name:
+            break
+        at += 4 * math.prod(entry["shape"])
+    raw[at:at + 4] = struct.pack("<f", value)  # the parameter's first value
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    with deadline():
+        code, _, err = run(capsys, "eval", "--model", str(bad), "--data", DEV_TSV)
+    assert code == 3
+    assert message in err
+
+
+# ---------------------------------------------------------------------------
+# checkpoint fuzz: any damage to a model file ends in an exit code, never a
+# traceback or a hang
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tmp_path_factory):
+    """A d=16 one-layer model file and a four-row dataset to evaluate it on."""
+    root = tmp_path_factory.mktemp("fuzz")
+    texts = ["ami bhalo achi", "tumi ke", "khub kharap", "aj shanto din"]
+    vocab = build_vocab(texts, target_size=24)
+    config = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
+                           d_ff=32, max_len=8, dropout_p=0.1)
+    save_checkpoint(Checkpoint(kind="model", config=config, vocab=vocab,
+                               pooler_kind="attention",
+                               params=init_model_params(config, "attention", 0),
+                               meta={"seed": 0, "emoji_map": {"\U0001F600": "hasi"}}),
+                    root / "model.ckpt")
+    data = root / "data.tsv"
+    data.write_text(HEADER + "\n" + "".join(f"r{i}\t{t}\tNAG\tNGEN\tNCOM\n"
+                                           for i, t in enumerate(texts)))
+    return (root / "model.ckpt").read_bytes(), root, data
+
+
+def eval_exit_code(raw, root, data):
+    """Exit code of `trihead eval` on a model file holding raw, run in this
+    process under the per-case deadline; any exception propagates."""
+    model = root / "case.ckpt"
+    model.write_bytes(raw)
+    sink = io.StringIO()
+    with deadline(), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+        code = main(["eval", "--model", str(model), "--data", str(data)])
+    return code, sink.getvalue()
+
+
+def json_paths(value, path=()):
+    yield path
+    if isinstance(value, dict):
+        for key, child in value.items():
+            yield from json_paths(child, path + (key,))
+    elif isinstance(value, list):
+        for i, child in enumerate(value):
+            yield from json_paths(child, path + (i,))
+
+
+FUZZ_VALUES = (None, -1, 0, 2**40, 1.5, math.nan, "x", [], {}, True)
+
+
+def test_every_header_value_swap_ends_in_an_exit_code(tiny_model):
+    raw, root, data = tiny_model
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12:12 + hlen])
+    blobs = raw[12 + hlen:]
+    cases = 0
+    for path in json_paths(header):
+        for value in FUZZ_VALUES:
+            edited = copy.deepcopy(header)
+            if path:
+                parent = edited
+                for key in path[:-1]:
+                    parent = parent[key]
+                parent[path[-1]] = copy.deepcopy(value)
+            else:
+                edited = copy.deepcopy(value)
+            blob = json.dumps(edited, sort_keys=True, separators=(",", ":")).encode()
+            code, out = eval_exit_code(raw[:8] + struct.pack("<I", len(blob)) + blob + blobs,
+                                       root, data)
+            assert code in (0, 2, 3, 4), (path, value, out)
+            cases += 1
+    assert cases > 1000
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(cut=st.none() | st.integers(min_value=1),
+       flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=4),
+       weight=st.none() | st.tuples(st.integers(min_value=0), st.integers(min_value=0),
+                                    st.floats(width=32)))
+def test_damaged_model_file_ends_in_an_exit_code(tiny_model, cut, flips, weight):
+    raw, root, data = tiny_model
+    damaged = bytearray(raw)
+    if weight is not None:  # one value of one parameter: NaN, Inf and float32 extremes too
+        (hlen,) = struct.unpack("<I", raw[8:12])
+        sizes = [math.prod(e["shape"]) for e in json.loads(raw[12:12 + hlen])["params"]]
+        param, index, value = weight[0] % len(sizes), weight[1], weight[2]
+        at = 12 + hlen + 4 * (sum(sizes[:param]) + index % sizes[param])
+        damaged[at:at + 4] = struct.pack("<f", value)
+    for at, mask in flips:
+        damaged[at % len(damaged)] ^= mask
+    if cut is not None:
+        del damaged[len(damaged) - cut % len(damaged):]
+    code, out = eval_exit_code(bytes(damaged), root, data)
+    assert code in (0, 2, 3, 4), out
 
 
 def test_predict_keeps_input_row_order(trained, tmp_path, capsys):

@@ -58,6 +58,13 @@ def test_missing_header_is_rejected(tmp_path):
     p = write(tmp_path, "d.tsv", ["a1\they\tNAG\tNGEN\tNCOM"])
     with pytest.raises(DataError, match="header"):
         load_dataset(p)
+    # a CRLF header differs only by an invisible \r, so the message names it
+    p = write(tmp_path, "d.tsv", [HEADER + "\r", "a1\they\tNAG\tNGEN\tNCOM\r"])
+    shown = HEADER.replace("\t", "/")
+    with pytest.raises(DataError) as e:
+        load_dataset(p)
+    assert str(e.value) == (f"{p}:1: bad header {shown}, expected {shown}; "
+                            "the line ends in \\r (Windows line endings)")
 
 
 def test_bad_label_names_line_and_id(tmp_path):
