@@ -10,10 +10,10 @@ import numpy as np
 
 from trihead.autograd import (
     Tensor,
-    add,
     backward,
     cross_entropy,
     grad_check,
+    linear,
     matmul,
     reshape,
     softmax,
@@ -26,9 +26,10 @@ x = Tensor([[1.0, 2.0], [3.0, 4.0]], requires_grad=True)
 w = Tensor([[0.5], [-0.5]], requires_grad=True)
 print("x:", x.data.tolist(), x.data.dtype)
 
-# 2. Operations record how they were computed. A matmul, a bias, a softmax:
-b = Tensor([[0.1]], requires_grad=True)
-scores = add(matmul(x, w), b)
+# 2. Operations record how they were computed. A biased projection
+#    (x @ w + b, one linear node), then a softmax:
+b = Tensor([0.1], requires_grad=True)
+scores = linear(x, w, b)
 probs = softmax(scores, axis=0)
 print("scores:", scores.data.ravel().tolist())
 print("probs: ", probs.data.ravel().tolist())
@@ -44,7 +45,7 @@ print("dloss/db:", b.grad.ravel().tolist())
 # 4. Gradients accumulate until cleared, so a second backward pass doubles
 #    every leaf gradient. Optimizers here call zero_grad between steps.
 before = w.grad.copy()
-loss2 = cross_entropy(reshape(add(matmul(x, w), b), (1, 2)), np.array([0]))
+loss2 = cross_entropy(reshape(linear(x, w, b), (1, 2)), np.array([0]))
 backward(loss2)
 print("accumulated twice:", bool(np.allclose(w.grad, 2 * before)))
 

@@ -30,7 +30,7 @@ mask = np.array([[1, 1, 1, 0, 0], [1, 1, 1, 1, 1]])
 # the attention pooler's starting values (train.init_model_params)
 q = Tensor(np.zeros(4, dtype=np.float32))
 w_h = Tensor(np.eye(4, dtype=np.float32))
-att = attention_pool(h, mask, q, w_h, mode="eval")
+att = attention_pool(h, mask, q, w_h)
 avg = mean_pool(h, mask)
 print("fresh attention == mean pooling:",
       bool(np.array_equal(att.data, avg.data)))

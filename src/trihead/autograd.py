@@ -113,15 +113,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _from_op("add", data, (a, b), backward)
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    data = a.data * b.data
-
-    def backward(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
-
-    return _from_op("mul", data, (a, b), backward)
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     data = a.data * np.asarray(c, dtype=a.dtype)
@@ -148,30 +139,20 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op("matmul", data, (a, b), backward)
 
 
-def sum_over(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
-    data = np.asarray(data, dtype=a.dtype)
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b over the last axis of a (..., d_in) input, with w d_in×d_out
+    and b (d_out,). The leading axes are flattened into one, so each
+    direction is a single 2-D matrix product."""
+    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
+        raise ValueError(f"linear: shapes disagree, {x.shape} x {w.shape} + {b.shape}")
+    x2 = x.data.reshape(-1, w.shape[0])
+    data = (x2 @ w.data + b.data).reshape(x.shape[:-1] + w.shape[1:])
 
     def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g, a.shape).astype(a.dtype, copy=True),)
-        gx = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gx, a.shape).astype(a.dtype, copy=True),)
+        g2 = g.reshape(-1, w.shape[1])
+        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return _from_op("sum", data, (a,), backward)
-
-
-def mean_over_axis(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    n = a.size if axis is None else a.shape[axis]
-    data = np.asarray(a.data.mean(axis=axis, keepdims=keepdims), dtype=a.dtype)
-
-    def backward(g):
-        if axis is None:
-            return (np.broadcast_to(g / n, a.shape).astype(a.dtype, copy=True),)
-        gx = g if keepdims else np.expand_dims(g, axis)
-        return (np.broadcast_to(gx / n, a.shape).astype(a.dtype, copy=True),)
-
-    return _from_op("mean", data, (a,), backward)
+    return _from_op("linear", data, (x, w, b), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -192,6 +173,29 @@ def transpose(a: Tensor, axes=None) -> Tensor:
         return (g.transpose(inverse),)
 
     return _from_op("transpose", data, (a,), backward)
+
+
+def split_heads(x: Tensor, n_heads: int) -> Tensor:
+    """(B, L, d) → (B, n_heads, L, d / n_heads), each head's slice of the
+    last axis moved ahead of the sequence axis."""
+    b, l, d = x.shape
+    data = np.ascontiguousarray(x.data.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3))
+
+    def backward(g):
+        return (g.transpose(0, 2, 1, 3).reshape(x.shape),)
+
+    return _from_op("split_heads", data, (x,), backward)
+
+
+def merge_heads(x: Tensor) -> Tensor:
+    """(B, nh, L, dh) → (B, L, nh * dh), the inverse of split_heads."""
+    b, nh, l, dh = x.shape
+    data = np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)).reshape(b, l, nh * dh)
+
+    def backward(g):
+        return (g.reshape(b, l, nh, dh).transpose(0, 2, 1, 3),)
+
+    return _from_op("merge_heads", data, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:

@@ -380,7 +380,7 @@ def main(argv=None) -> int:
         return int(e.code) if e.code else 0
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, MemoryError) as e:  # MemoryError: a size no machine holds
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (DataError, OSError) as e:

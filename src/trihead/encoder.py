@@ -21,15 +21,18 @@ from .autograd import (
     embedding_lookup,
     gelu,
     layer_norm,
+    linear,
     matmul,
+    merge_heads,
     reshape,
     scale,
     softmax,
+    split_heads,
     transpose,
 )
 from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
 from .optim import AdamW, lr_at, optimizer_step
-from .textpipe import CLS_ID, EncodedBatch, Vocab, batch_encode
+from .textpipe import EncodedBatch, Vocab, batch_encode
 
 NEG_INF = -1e9
 _N_SPECIAL = 4  # [PAD] [UNK] [CLS] [SEP]
@@ -94,12 +97,19 @@ def param_specs(config: EncoderConfig):
 def fill_params(specs, seed, dtype=np.float32) -> dict:
     """Fresh name → Tensor table for (name, shape, fill) specs; the normal
     draws come from one generator in spec order. seed may be an int or a
-    SeedSequence."""
+    SeedSequence. A parameter too large to allocate is a ConfigError naming
+    it and its shape."""
     rng = np.random.default_rng(seed)
     fills = {"normal": lambda shape: rng.normal(0.0, 0.02, shape),
              "zeros": np.zeros, "ones": np.ones, "eye": lambda shape: np.eye(shape[0])}
-    return {name: Tensor(fills[fill](shape), requires_grad=True, dtype=dtype)
-            for name, shape, fill in specs}
+    table = {}
+    for name, shape, fill in specs:
+        try:
+            table[name] = Tensor(fills[fill](shape), requires_grad=True, dtype=dtype)
+        except MemoryError:
+            raise ConfigError(f"parameter {name!r} of shape {shape} does not fit "
+                              "in memory") from None
+    return table
 
 
 def init_encoder_params(config: EncoderConfig, seed, dtype=np.float32) -> dict:
@@ -108,32 +118,18 @@ def init_encoder_params(config: EncoderConfig, seed, dtype=np.float32) -> dict:
     return fill_params(param_specs(config), seed, dtype)
 
 
-def _attention(x, mask_bias, params, prefix, config, collect):
-    b, l, d = x.shape
-    nh, dh = config.n_heads, config.d_head
-
-    def proj(name):
-        flat = matmul(reshape(x, (b * l, d)), params[prefix + "w" + name])
-        flat = add(flat, params[prefix + "b" + name])
-        # (B, L, nh, dh) -> (B, nh, L, dh)
-        return transpose(reshape(flat, (b, l, nh, dh)), (0, 2, 1, 3))
-
-    q, k, v = proj("q"), proj("k"), proj("v")
-    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(dh))
-    scores = add(scores, mask_bias)
-    probs = softmax(scores, axis=-1)
-    if collect is not None:
-        collect.append(probs.data.copy())
-    ctx = matmul(probs, v)  # (B, nh, L, dh)
-    ctx = reshape(transpose(ctx, (0, 2, 1, 3)), (b * l, d))
-    out = add(matmul(ctx, params[prefix + "wo"]), params[prefix + "bo"])
-    return reshape(out, (b, l, d))
+def _attention(x, mask_bias, params, prefix, config):
+    q, k, v = (split_heads(linear(x, params[prefix + "w" + n], params[prefix + "b" + n]),
+                           config.n_heads) for n in "qkv")
+    scores = scale(matmul(q, transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(config.d_head))
+    probs = softmax(add(scores, mask_bias), axis=-1)
+    ctx = merge_heads(matmul(probs, v))
+    return linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
 def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
-                 mode: str = "eval", rng=None, return_attention: bool = False):
-    """Run the stack; returns H of shape B×L×d (and per-layer attention
-    probabilities, detached, when asked).
+                 mode: str = "eval", rng=None):
+    """Run the stack; returns H of shape B×L×d.
 
     Padded key positions get a large negative score bias, so unmasked
     positions never attend to padding. Dropout fires only in train mode.
@@ -158,24 +154,18 @@ def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
     bias = ((1 - mask) * NEG_INF).astype(x.dtype).reshape(b, 1, 1, l)
     mask_bias = Tensor(bias, dtype=x.dtype)
 
-    collected = [] if return_attention else None
     for i in range(config.n_layers):
         p = f"layer{i}."
         h = layer_norm(x, params[p + "ln1.gamma"], params[p + "ln1.beta"])
-        attn = _attention(h, mask_bias, params, p + "attn.", config, collected)
+        attn = _attention(h, mask_bias, params, p + "attn.", config)
         attn = dropout(attn, config.dropout_p, training=training, rng=rng)
         x = add(x, attn)
         h2 = layer_norm(x, params[p + "ln2.gamma"], params[p + "ln2.beta"])
-        flat = reshape(h2, (b * l, config.d_model))
-        ff = add(matmul(flat, params[p + "ffn.w1"]), params[p + "ffn.b1"])
-        ff = add(matmul(gelu(ff), params[p + "ffn.w2"]), params[p + "ffn.b2"])
-        ff = dropout(reshape(ff, (b, l, config.d_model)), config.dropout_p,
-                     training=training, rng=rng)
+        ff = gelu(linear(h2, params[p + "ffn.w1"], params[p + "ffn.b1"]))
+        ff = linear(ff, params[p + "ffn.w2"], params[p + "ffn.b2"])
+        ff = dropout(ff, config.dropout_p, training=training, rng=rng)
         x = add(x, ff)
-    h_final = layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"])
-    if return_attention:
-        return h_final, collected
-    return h_final
+    return layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"])
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +186,8 @@ class PretrainSchedule:
             raise ConfigError("steps and batch_size must be positive")
         if not 0.0 < self.mask_rate <= 1.0:
             raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
+        if not 0 < self.base_lr < np.inf:
+            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
 
 
 def _mask_tokens(ids, mask, rate, vocab_size, rng):
@@ -264,7 +254,7 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
             h = encode_batch(batch, params, config, mode="train", rng=rng)
             b, l, d = h.shape
             rows = embedding_lookup(reshape(h, (b * l, d)), positions)
-            logits = add(matmul(rows, transpose(params["tok_emb"])), params["mlm_bias"])
+            logits = linear(rows, transpose(params["tok_emb"]), params["mlm_bias"])
             loss = cross_entropy(logits, targets)
         except NonFiniteError:
             # activations blew up before the loss could; same disease

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autograd import Tensor, add, dropout, matmul, reshape, softmax
+from .autograd import Tensor, add, linear, matmul, reshape, softmax
 from .encoder import NEG_INF
 from .metrics import TASK_LABELS, TASKS
 
@@ -32,14 +32,12 @@ def _uniform_weights(mask: np.ndarray, dtype) -> np.ndarray:
     return mask.astype(dtype) / counts.astype(dtype)
 
 
-def attention_pool(h: Tensor, mask: np.ndarray, q: Tensor, w_h: Tensor,
-                   mode: str = "eval", dropout_p: float = 0.0, rng=None) -> Tensor:
+def attention_pool(h: Tensor, mask: np.ndarray, q: Tensor, w_h: Tensor) -> Tensor:
     """Query-scored weighted sum of token states, projected by w_h (d×d);
     q is the (d,) query.
 
     Scores are q·h_i with padded positions forced to a large negative value;
-    softmax turns them into weights that ignore padding entirely. Dropout
-    hits the projected output in train mode.
+    softmax turns them into weights that ignore padding entirely.
     """
     _check_mask(h, mask)
     b, l, d = h.shape
@@ -47,8 +45,7 @@ def attention_pool(h: Tensor, mask: np.ndarray, q: Tensor, w_h: Tensor,
     bias = Tensor(((1 - mask) * NEG_INF), dtype=h.dtype)
     alpha = softmax(add(scores, bias), axis=-1)
     pooled = reshape(matmul(reshape(alpha, (b, 1, l)), h), (b, d))
-    out = matmul(pooled, w_h)
-    return dropout(out, dropout_p, training=mode == "train", rng=rng)
+    return matmul(pooled, w_h)
 
 
 def attention_weights(h: Tensor, mask: np.ndarray, q: Tensor) -> np.ndarray:
@@ -77,7 +74,7 @@ def mean_pool(h: Tensor, mask: np.ndarray) -> Tensor:
 def logits_for(pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """Pre-softmax scores for one task's head, w (d×C) and b (C,), class
     order fixed by TASK_LABELS (what cross-entropy consumes)."""
-    return add(matmul(pooled, w), b)
+    return linear(pooled, w, b)
 
 
 def predict_labels(probs: dict) -> list:

@@ -260,8 +260,12 @@ def batch_encode(texts: Sequence[str], vocab: Vocab, max_len: int) -> EncodedBat
     if not texts:
         raise DataError("batch_encode: no texts")
     rows = [_token_ids(t, vocab, max_len) for t in texts]
-    ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(rows), max_len), dtype=np.int64)
+    try:
+        ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
+        mask = np.zeros((len(rows), max_len), dtype=np.int64)
+    except MemoryError:
+        raise ConfigError(f"max_len {max_len}: {len(rows)} rows of {max_len} token ids "
+                          "do not fit in memory") from None
     for r, row in enumerate(rows):
         ids[r, :len(row)] = row
         mask[r, :len(row)] = 1

@@ -51,8 +51,8 @@ class TrainConfig:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.base_lr <= 0:
-            raise ConfigError(f"base_lr must be positive, got {self.base_lr}")
+        if not 0 < self.base_lr < np.inf:
+            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.warmup_steps < 0:
@@ -60,9 +60,9 @@ class TrainConfig:
         if self.pooler not in POOLER_KINDS:
             raise ConfigError(f"pooler must be one of {POOLER_KINDS}, got {self.pooler!r}")
         w = tuple(float(x) for x in self.task_loss_weights)
-        if len(w) != 3 or any(x < 0 for x in w) or not any(x > 0 for x in w):
+        if len(w) != 3 or not all(0 <= x < np.inf for x in w) or not any(w):
             raise ConfigError(
-                "task_loss_weights needs three nonnegative values, at least one positive"
+                "task_loss_weights needs three finite nonnegative values, at least one positive"
             )
         object.__setattr__(self, "task_loss_weights", w)
         object.__setattr__(self, "freeze", tuple(self.freeze))
@@ -126,21 +126,18 @@ def forward_logits(params: dict, config: EncoderConfig, pooler_kind: str,
                    batch: EncodedBatch, mode: str = "eval", rng=None) -> dict:
     """Encoder → pooler → per-task logits, as a task-keyed dict.
 
-    Dropout lands on the pooled vector for both pooler kinds (inside
-    attention_pool for one, applied here for the other) so the two draw
-    from the rng in the same order.
+    Dropout lands on the pooled vector, whichever pooler made it.
     """
     enc = {k[len("encoder."):]: v for k, v in params.items() if k.startswith("encoder.")}
     h = encode_batch(batch, enc, config, mode=mode, rng=rng)
     mask = batch.attention_mask
     if pooler_kind == "attention":
-        pooled = attention_pool(h, mask, params["pooler.q"], params["pooler.w_h"],
-                                mode=mode, dropout_p=config.dropout_p, rng=rng)
+        pooled = attention_pool(h, mask, params["pooler.q"], params["pooler.w_h"])
     elif pooler_kind == "mean":
-        pooled = dropout(mean_pool(h, mask), config.dropout_p,
-                         training=mode == "train", rng=rng)
+        pooled = mean_pool(h, mask)
     else:
         raise ConfigError(f"unknown pooler kind {pooler_kind!r}")
+    pooled = dropout(pooled, config.dropout_p, training=mode == "train", rng=rng)
     return {t: logits_for(pooled, params[f"heads.{t}.w"], params[f"heads.{t}.b"])
             for t in TASKS}
 
@@ -177,11 +174,8 @@ def init_model_params(config: EncoderConfig, pooler_kind: str, seed) -> dict:
 
 
 def _copy_params(params: dict) -> dict:
-    out = {}
-    for k, t in params.items():
-        c = Tensor(t.data.copy(), requires_grad=t.requires_grad, dtype=t.data.dtype)
-        out[k] = c
-    return out
+    return {k: Tensor(t.data.copy(), requires_grad=t.requires_grad, dtype=t.data.dtype)
+            for k, t in params.items()}
 
 
 def _targets(dataset) -> dict:
@@ -265,8 +259,12 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
                                   task_losses["communal"].item()))
             step += 1
         if dev is not None:
-            report = _evaluate_params(params, enc_config, config.pooler, vocab,
-                                      dev, emoji_map)
+            try:
+                report = _evaluate_params(params, enc_config, config.pooler, vocab,
+                                          dev, emoji_map)
+            except NonFiniteError:
+                # the last update left weights whose forward pass overflows
+                raise DivergenceError(step - 1, "dev-eval activations") from None
             dev_history.append(report)
             if best is None or report.overall_micro_f1 > best[0]:
                 best = (report.overall_micro_f1, _copy_params(params), epoch)

@@ -162,7 +162,7 @@ def test_criterion_02_zero_query_equivalence():
             mask[row, :int(rng.integers(1, l + 1))] = 1
         q = Tensor(np.zeros(d, dtype=np.float32), requires_grad=True)
         w_h = Tensor(np.eye(d, dtype=np.float32), requires_grad=True)
-        att = attention_pool(h, mask, q, w_h, mode="eval")
+        att = attention_pool(h, mask, q, w_h)
         mean = mean_pool(h, mask)
         worst = max(worst, float(np.abs(att.data - mean.data).max()))
     assert worst <= 1e-6

@@ -16,16 +16,26 @@ from trihead.autograd import (
     gelu,
     grad_check,
     layer_norm,
+    linear,
     matmul,
-    mean_over_axis,
-    mul,
+    merge_heads,
     reshape,
     scale,
     softmax,
-    sum_over,
+    split_heads,
     transpose,
 )
 from trihead.errors import ConfigError
+
+
+def project(y, w):
+    """Scalar Σ y·w as a 1×1 tensor, built from reshape and matmul."""
+    w = np.asarray(w, dtype=y.dtype)
+    return matmul(reshape(y, (1, y.size)), Tensor(w.reshape(y.size, 1), dtype=y.dtype))
+
+
+def total(y):
+    return project(y, np.ones(y.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -51,6 +61,25 @@ def test_matmul_shape_mismatch_names_both_shapes():
 def test_matmul_rejects_vectors():
     with pytest.raises(ValueError):
         matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
+
+
+def test_linear_is_matmul_plus_bias_over_the_last_axis():
+    rng = np.random.default_rng(2)
+    x, w, b = rng.normal(size=(2, 3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(5,))
+    out = linear(Tensor(x), Tensor(w), Tensor(b))
+    assert out.shape == (2, 3, 5)
+    np.testing.assert_allclose(out.data, x @ w + b, rtol=1e-5, atol=1e-6)
+    with pytest.raises(ValueError, match="linear"):
+        linear(Tensor(x), Tensor(w.T), Tensor(b))
+
+
+def test_split_heads_slices_the_last_axis_and_merge_heads_inverts_it():
+    x = np.arange(2 * 3 * 6, dtype=np.float64).reshape(2, 3, 6)
+    heads = split_heads(Tensor(x, dtype=np.float64), 2)
+    assert heads.shape == (2, 2, 3, 3)
+    # head 1 of row 0 is the second half of each token's vector
+    np.testing.assert_array_equal(heads.data[0, 1], x[0, :, 3:])
+    np.testing.assert_array_equal(merge_heads(heads).data, x)
 
 
 def test_softmax_zero_log2():
@@ -109,14 +138,14 @@ def test_fanout_gradient_sums():
     # y = x + x + x  →  dy/dx = 3
     x = Tensor([2.0], requires_grad=True)
     y = add(add(x, x), x)
-    backward(sum_over(y))
+    backward(total(y))
     np.testing.assert_allclose(x.grad, [3.0])
 
 
 def test_second_backward_doubles_gradients():
     x = Tensor([[1.0, -2.0], [0.5, 3.0]], requires_grad=True, dtype=np.float64)
     w = Tensor([[2.0], [1.0]], requires_grad=True, dtype=np.float64)
-    loss = sum_over(gelu(matmul(x, w)))
+    loss = total(gelu(matmul(x, w)))
     backward(loss)
     gx, gw = x.grad.copy(), w.grad.copy()
     backward(loss)
@@ -127,8 +156,8 @@ def test_second_backward_doubles_gradients():
 def test_diamond_graph_accumulates_through_shared_node():
     # s = x*2; loss = sum(s*s) → d/dx = 8x
     x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
-    s = scale(x, 2.0)
-    backward(sum_over(mul(s, s)))
+    row = reshape(scale(x, 2.0), (1, 2))
+    backward(matmul(row, transpose(row)))
     np.testing.assert_allclose(x.grad, [8.0, 16.0], rtol=1e-12)
 
 
@@ -141,7 +170,7 @@ def test_backward_requires_scalar():
 def test_no_grad_tensors_stay_clean():
     x = Tensor([1.0, 2.0], requires_grad=False)
     w = Tensor([3.0, 4.0], requires_grad=True)
-    backward(sum_over(mul(x, w)))
+    backward(matmul(reshape(x, (1, 2)), reshape(w, (2, 1))))
     assert x.grad is None
     np.testing.assert_allclose(w.grad, [1.0, 2.0])
 
@@ -149,29 +178,30 @@ def test_no_grad_tensors_stay_clean():
 def test_broadcast_add_unbroadcasts_gradient():
     x = Tensor(np.ones((2, 3)), requires_grad=True)
     b = Tensor(np.zeros((3,)), requires_grad=True)
-    backward(sum_over(add(x, b)))
+    backward(total(add(x, b)))
     np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])
     np.testing.assert_allclose(x.grad, np.ones((2, 3)))
 
 
 def test_only_leaves_hold_gradients():
-    # the diamond above, plus a broadcast bias: d/dx = 8x, d/db = 2
+    # the diamond above through a broadcast zero bias: d/dx = 8x,
+    # d/db = 2 Σ s = 12
     x = Tensor([1.0, 2.0], requires_grad=True, dtype=np.float64)
     b = Tensor([0.0], requires_grad=True, dtype=np.float64)
     s = scale(x, 2.0)
-    sq = mul(s, s)
-    biased = add(sq, b)
-    loss = sum_over(biased)
+    biased = add(s, b)
+    row = reshape(biased, (1, 2))
+    loss = matmul(row, transpose(row))
     backward(loss)
-    assert all(t.grad is None for t in (s, sq, biased, loss))
+    assert all(t.grad is None for t in (s, biased, row, loss))
     np.testing.assert_allclose(x.grad, [8.0, 16.0], rtol=1e-12)
-    np.testing.assert_allclose(b.grad, [2.0], rtol=1e-12)
+    np.testing.assert_allclose(b.grad, [12.0], rtol=1e-12)
 
 
 def test_leaf_grad_accumulates_across_separate_graphs():
     w = Tensor([1.0], requires_grad=True)
-    backward(sum_over(scale(w, 2.0)))
-    backward(sum_over(scale(w, 5.0)))
+    backward(total(scale(w, 2.0)))
+    backward(total(scale(w, 5.0)))
     np.testing.assert_allclose(w.grad, [7.0])
 
 
@@ -191,7 +221,7 @@ def test_grad_check_matmul_chain():
     w = rng.normal(size=(4, 3))
 
     def f(t):
-        return sum_over(gelu(matmul(t, Tensor(w))))
+        return total(gelu(matmul(t, Tensor(w, dtype=np.float64))))
 
     _check(f, Tensor(rng.normal(size=(2, 4)), dtype=np.float64))
 
@@ -214,16 +244,13 @@ def test_grad_check_layer_norm_all_three_inputs():
     f64 = np.float64
 
     def fx(t):
-        return sum_over(mul(layer_norm(t, Tensor(g0, dtype=f64), Tensor(b0, dtype=f64)),
-                            Tensor(x0 + 0.5, dtype=f64)))
+        return project(layer_norm(t, Tensor(g0, dtype=f64), Tensor(b0, dtype=f64)), x0 + 0.5)
 
     def fg(t):
-        return sum_over(mul(layer_norm(Tensor(x0, dtype=f64), t, Tensor(b0, dtype=f64)),
-                            Tensor(x0 + 0.5, dtype=f64)))
+        return project(layer_norm(Tensor(x0, dtype=f64), t, Tensor(b0, dtype=f64)), x0 + 0.5)
 
     def fb(t):
-        return sum_over(mul(layer_norm(Tensor(x0, dtype=f64), Tensor(g0, dtype=f64), t),
-                            Tensor(x0 + 0.5, dtype=f64)))
+        return project(layer_norm(Tensor(x0, dtype=f64), Tensor(g0, dtype=f64), t), x0 + 0.5)
 
     _check(fx, Tensor(x0, dtype=np.float64))
     _check(fg, Tensor(g0, dtype=np.float64))
@@ -235,7 +262,7 @@ def test_grad_check_softmax_weighted():
     w = rng.normal(size=(2, 6))
 
     def f(t):
-        return sum_over(mul(softmax(t, axis=-1), Tensor(w)))
+        return project(softmax(t, axis=-1), w)
 
     _check(f, Tensor(rng.normal(size=(2, 6)), dtype=np.float64))
 
@@ -246,7 +273,7 @@ def test_grad_check_mean_reshape_transpose():
 
     def f(t):
         h = transpose(reshape(t, (4, 3)))
-        return mean_over_axis(mul(h, Tensor(w)))
+        return project(h, w / w.size)  # the mean of h * w
 
     _check(f, Tensor(rng.normal(size=(12,)), dtype=np.float64))
 
@@ -257,22 +284,54 @@ def test_grad_check_embedding_lookup():
     w = rng.normal(size=(2, 3, 5))
 
     def f(t):
-        return sum_over(mul(embedding_lookup(t, ids), Tensor(w)))
+        return project(embedding_lookup(t, ids), w)
 
     _check(f, Tensor(rng.normal(size=(4, 5)), dtype=np.float64))
+
+
+def test_grad_check_linear_all_three_inputs():
+    rng = np.random.default_rng(13)
+    x0 = rng.normal(size=(2, 3, 4))
+    w0 = rng.normal(size=(4, 5))
+    b0 = rng.normal(size=(5,))
+    out_w = rng.normal(size=(2, 3, 5))
+    f64 = np.float64
+
+    _check(lambda t: project(linear(t, Tensor(w0, dtype=f64), Tensor(b0, dtype=f64)), out_w),
+           Tensor(x0, dtype=f64))
+    _check(lambda t: project(linear(Tensor(x0, dtype=f64), t, Tensor(b0, dtype=f64)), out_w),
+           Tensor(w0, dtype=f64))
+    _check(lambda t: project(linear(Tensor(x0, dtype=f64), Tensor(w0, dtype=f64), t), out_w),
+           Tensor(b0, dtype=f64))
+
+
+def test_grad_check_split_heads():
+    rng = np.random.default_rng(14)
+    w = rng.normal(size=(2, 3, 4, 2))
+
+    _check(lambda t: project(split_heads(t, 3), w),
+           Tensor(rng.normal(size=(2, 4, 6)), dtype=np.float64))
+
+
+def test_grad_check_merge_heads():
+    rng = np.random.default_rng(15)
+    w = rng.normal(size=(2, 4, 6))
+
+    _check(lambda t: project(merge_heads(t), w),
+           Tensor(rng.normal(size=(2, 3, 4, 2)), dtype=np.float64))
 
 
 def test_grad_check_detects_a_wrong_gradient():
     # a deliberately broken rule must fail the check
     def f(t):
-        out = mul(t, t)
+        out = gelu(t)
         if out.node is not None:
 
             def bad_backward(g):
-                return (g,)  # wrong: should be 2*t*g
+                return (g,)  # wrong: should be gelu'(t) * g
 
             out.node.backward_fn = bad_backward
-        return sum_over(out)
+        return total(out)
 
     report = grad_check(f, Tensor([1.5, -0.5], dtype=np.float64))
     assert not report.passed
@@ -283,7 +342,7 @@ def test_grad_check_rejects_nondeterministic_f():
 
     def f(t):
         state["n"] += 1
-        return sum_over(scale(t, float(state["n"])))
+        return total(scale(t, float(state["n"])))
 
     with pytest.raises(ValueError, match="deterministic"):
         grad_check(f, Tensor([1.0], dtype=np.float64))
@@ -319,7 +378,7 @@ def test_dropout_mask_reused_in_backward():
     rng = np.random.default_rng(6)
     x = Tensor(np.ones((4, 4)), requires_grad=True)
     y = dropout(x, 0.5, training=True, rng=rng)
-    backward(sum_over(y))
+    backward(total(y))
     # gradient must be nonzero exactly where the forward kept values
     np.testing.assert_array_equal(x.grad != 0, y.data != 0)
 
@@ -328,7 +387,7 @@ def test_embedding_lookup_gathers_and_scatters():
     table = Tensor(np.arange(12.0).reshape(4, 3), requires_grad=True)
     out = embedding_lookup(table, np.array([1, 1, 3]))
     np.testing.assert_allclose(out.data, [[3, 4, 5], [3, 4, 5], [9, 10, 11]])
-    backward(sum_over(out))
+    backward(total(out))
     np.testing.assert_allclose(table.grad, [[0, 0, 0], [2, 2, 2], [0, 0, 0], [1, 1, 1]])
 
 

@@ -6,6 +6,8 @@ import importlib
 import io
 import json
 import math
+import os
+import resource
 import signal
 import struct
 import subprocess
@@ -187,6 +189,46 @@ def test_nan_gradient_exits_4_at_the_poisoned_step(tmp_path, capsys, monkeypatch
     assert code == 4
     assert "non-finite gradient norm at step 2" in err
     assert len(calls) == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+def test_dev_eval_overflow_exits_4_naming_the_last_step(tmp_path, capsys):
+    # one huge step leaves finite weights whose dev forward overflows
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--dev", DEV_TSV,
+                       "--epochs", "2", "--batch-size", "100000", "--d-model", "16",
+                       "--max-len", "12", "--base-lr", "1e20", "--out", str(tmp_path / "run"))
+    assert code == 4
+    assert "error: non-finite dev-eval activations at step 0" in err
+
+
+# far below what these sizes ask for, and room enough for everything else
+ADDRESS_SPACE_CAP = 3 << 30
+
+
+def cap_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--d-model", "100000", "--n-heads", "1"],
+     "parameter 'encoder.layer0.attn.wq' of shape (100000, 100000) does not fit in memory"),
+    (["--max-len", "1000000000"], "max_len 1000000000: 64 rows of 1000000000 token ids"),
+    # the attention scores of one training batch, as numpy names them
+    (["--max-len", "20000"], "shape (8, 2, 20000, 20000)"),
+], ids=["d-model", "max-len-ids", "max-len-batch"])
+def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, message):
+    # run only under the address-space cap: uncapped, these sizes may
+    # take the machine's memory before numpy gives up
+    proc = subprocess.run(
+        [sys.executable, "-m", "trihead.cli", "train", "--data", TRAIN_TSV,
+         "--out", str(tmp_path / "run"), *argv],
+        preexec_fn=cap_address_space, capture_output=True, text=True, timeout=60,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("error: ")
+    assert message in proc.stderr
 
 
 # ---------------------------------------------------------------------------
@@ -403,15 +445,25 @@ def tiny_model(tmp_path_factory):
     return (root / "model.ckpt").read_bytes(), root, data
 
 
+def exit_code_in(root, *argv):
+    """Exit code and output of `trihead argv` run in this process, in
+    directory root, under the per-case deadline; any exception propagates."""
+    sink = io.StringIO()
+    cwd = os.getcwd()
+    os.chdir(root)
+    try:
+        with deadline(), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
+            code = main(list(argv))
+    finally:
+        os.chdir(cwd)
+    return code, sink.getvalue()
+
+
 def eval_exit_code(raw, root, data):
-    """Exit code of `trihead eval` on a model file holding raw, run in this
-    process under the per-case deadline; any exception propagates."""
+    """exit_code_in for `trihead eval` on a model file holding raw."""
     model = root / "case.ckpt"
     model.write_bytes(raw)
-    sink = io.StringIO()
-    with deadline(), contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        code = main(["eval", "--model", str(model), "--data", str(data)])
-    return code, sink.getvalue()
+    return exit_code_in(root, "eval", "--model", str(model), "--data", str(data))
 
 
 def json_paths(value, path=()):
@@ -473,6 +525,92 @@ def test_damaged_model_file_ends_in_an_exit_code(tiny_model, cut, flips, weight)
         del damaged[len(damaged) - cut % len(damaged):]
     code, out = eval_exit_code(bytes(damaged), root, data)
     assert code in (0, 2, 3, 4), out
+
+
+# ---------------------------------------------------------------------------
+# fuzzed dataset, label and config files
+
+
+FUZZ_ROWS = (("r0", "ami bhalo achi", "NAG", "NGEN", "NCOM"),
+             ("r1", "tui ekta chagol", "OAG", "GEN", "NCOM"),
+             ("r2", "khub kharap kotha", "CAG", "NGEN", "COM"),
+             ("r3", "aj shanto din", "NAG", "GEN", "COM"))
+LABEL_JUNK = ("", "nag", "OAG ", "GEN", "NCOM\r", "COM,NCOM", "\u00c7AG")
+
+
+def tsv(lines) -> str:
+    return "".join("\t".join(line) + "\n" for line in lines)
+
+
+@pytest.fixture(scope="module")
+def fuzz_root(tmp_path_factory):
+    """A scratch directory holding gold.tsv, four valid labeled rows."""
+    root = tmp_path_factory.mktemp("files")
+    (root / "gold.tsv").write_text(tsv([HEADER.split("\t"), *FUZZ_ROWS]), encoding="utf-8")
+    return root
+
+
+@st.composite
+def damaged_tables(draw):
+    """The four rows as a labeled dataset or as a scorer's text-less label
+    file, with columns swapped (on one line or all), bad labels and
+    duplicated ids, then byte flips and a cut."""
+    lines = [HEADER.split("\t"), *map(list, FUZZ_ROWS)]
+    if draw(st.booleans()):
+        lines = [[line[0], *line[2:]] for line in lines]
+    width = len(lines[0])
+    column = st.integers(0, width - 1)
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(("swap", "label", "duplicate id")))
+        if kind == "swap":
+            i, j = draw(column), draw(column)
+            at = draw(st.none() | st.integers(0, len(lines) - 1))
+            for line in lines if at is None else [lines[at]]:
+                line[i], line[j] = line[j], line[i]
+        elif kind == "label":
+            row = draw(st.integers(1, len(lines) - 1))
+            lines[row][draw(st.integers(width - 3, width - 1))] = draw(
+                st.sampled_from(LABEL_JUNK) | st.text(max_size=4))
+        else:
+            src, dst = draw(st.integers(1, len(lines) - 1)), draw(st.integers(1, len(lines) - 1))
+            lines[dst][0] = lines[src][0]
+    raw = bytearray(tsv(lines).encode())
+    for at, mask in draw(st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)),
+                                  max_size=3)):
+        raw[at % len(raw)] ^= mask
+    cut = draw(st.none() | st.integers(min_value=0))
+    return bytes(raw if cut is None else raw[:cut % (len(raw) + 1)])
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(table=damaged_tables())
+def test_damaged_dataset_and_label_files_end_in_an_exit_code(fuzz_root, table):
+    (fuzz_root / "case.tsv").write_bytes(table)
+    for argv in (["stats", "--data", "case.tsv"],
+                 ["score", "--gold", "case.tsv", "--pred", "gold.tsv"],
+                 ["score", "--gold", "gold.tsv", "--pred", "case.tsv"]):
+        code, out = exit_code_in(fuzz_root, *argv)
+        assert code in (0, 2, 3, 4), (argv, out)
+
+
+CONFIG_KEYS = sorted(vars(_load_run_config(None, {})))
+CONFIG_JUNK = (None, -1, 0, 1.5, math.nan, math.inf, "x", "", [], {}, True, [1.0], ["x"])
+# a one-epoch d=16 run on gold.tsv, so that a config that passes trains fast
+FUZZ_CONFIG = {"data": "gold.tsv", "epochs": 1, "n_layers": 1, "d_model": 16,
+               "n_heads": 2, "d_ff": 32, "max_len": 12}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(edits=st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_JUNK),
+                             max_size=2),
+       cut=st.none() | st.integers(min_value=0))
+def test_damaged_config_file_ends_in_an_exit_code(fuzz_root, edits, cut):
+    raw = json.dumps({**FUZZ_CONFIG, **edits}).encode()
+    (fuzz_root / "case.json").write_bytes(raw if cut is None else raw[:cut % (len(raw) + 1)])
+    code, out = exit_code_in(fuzz_root, "train", "--config", "case.json")
+    assert code in (0, 2, 3, 4), (edits, out)
 
 
 def test_predict_keeps_input_row_order(trained, tmp_path, capsys):

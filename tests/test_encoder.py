@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import trihead.encoder
 from trihead.autograd import (
     Tensor,
     add,
@@ -11,6 +12,7 @@ from trihead.autograd import (
     grad_check,
     matmul,
     reshape,
+    softmax,
     transpose,
 )
 from trihead.encoder import (
@@ -94,11 +96,19 @@ def test_padding_token_value_cannot_leak():
     assert np.array_equal(ha[real], hb[real])
 
 
-def test_attention_rows_normalized_and_padding_ignored():
+def test_attention_rows_normalized_and_padding_ignored(monkeypatch):
     config = small_config(n_layers=2)
     params = init_encoder_params(config, seed=3)
     batch = make_batch([[2, 4, 5], [2, 6]], max_len=6)
-    _, probs = encode_batch(batch, params, config, return_attention=True)
+    probs = []
+
+    def capture(x, axis=-1):
+        out = softmax(x, axis=axis)
+        probs.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(trihead.encoder, "softmax", capture)
+    encode_batch(batch, params, config)
     assert len(probs) == config.n_layers
     for layer in probs:
         np.testing.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)

@@ -1,10 +1,12 @@
 """Pooling operators and task heads."""
 
+import importlib
 import math
 
 import numpy as np
 import pytest
 
+import trihead.pooling
 from trihead.autograd import Tensor, cross_entropy, grad_check, softmax
 from trihead.encoder import EncoderConfig
 from trihead.metrics import TASKS
@@ -15,7 +17,11 @@ from trihead.pooling import (
     mean_pool,
     predict_labels,
 )
-from trihead.train import init_model_params
+from trihead.textpipe import EncodedBatch
+from trihead.train import forward_logits, init_model_params
+
+# trihead.train is also the name of a function, so import the module
+TRAIN_MODULE = importlib.import_module("trihead.train")
 
 
 def rand_h(b, l, d, seed=0, dtype=np.float32):
@@ -150,15 +156,34 @@ def test_scaling_query_sharpens_attention():
         prev = e
 
 
-def test_attention_pool_dropout_only_in_train_mode():
-    h = rand_h(2, 4, 8, seed=12)
-    mask = mask_of([4, 3], 4)
-    q, w_h = zero_query_params(8)
-    still = attention_pool(h, mask, q, w_h, mode="eval", dropout_p=0.5)
-    assert np.array_equal(still.data, mean_pool(h, mask).data)
-    dropped = attention_pool(h, mask, q, w_h, mode="train", dropout_p=0.5,
-                             rng=np.random.default_rng(0))
-    assert not np.array_equal(dropped.data, still.data)
+def test_attention_pool_dropout_only_in_train_mode(monkeypatch):
+    # the pooled-vector dropout sits in forward_logits, after either pooler
+    config = EncoderConfig(vocab_size=10, d_model=8, n_layers=1, n_heads=2, d_ff=16,
+                           max_len=4, dropout_p=0.5)
+    batch = EncodedBatch(token_ids=np.array([[2, 5, 6, 7], [2, 8, 9, 0]]),
+                         attention_mask=mask_of([4, 3], 4))
+    for pooler, pool_fn in (("attention", "attention_pool"), ("mean", "mean_pool")):
+        seen = {}
+
+        def spy(*args, name=pool_fn):
+            seen["pool"] = getattr(trihead.pooling, name)(*args)
+            return seen["pool"]
+
+        def heads(pooled, w, b):
+            seen["heads"] = pooled
+            return logits_for(pooled, w, b)
+
+        monkeypatch.setattr(TRAIN_MODULE, pool_fn, spy)
+        monkeypatch.setattr(TRAIN_MODULE, "logits_for", heads)
+        params = init_model_params(config, pooler, 0)
+        forward_logits(params, config, pooler, batch, mode="eval")
+        assert seen["heads"] is seen["pool"]
+        forward_logits(params, config, pooler, batch, mode="train",
+                       rng=np.random.default_rng(0))
+        pooled, dropped = seen["pool"].data, seen["heads"].data
+        assert (dropped == 0).any()
+        kept = dropped != 0
+        np.testing.assert_allclose(dropped[kept], 2.0 * pooled[kept], rtol=1e-6)
 
 
 def test_attention_pool_rejects_all_masked_row():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from trihead.data import Example
-from trihead.encoder import EncoderConfig
+from trihead.encoder import EncoderConfig, PretrainSchedule
 from trihead.errors import (
     CheckpointFormatError,
     ConfigError,
@@ -128,6 +128,17 @@ def test_train_config_rejects_bad_values():
         cfg(dropout_p=1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_rate_or_weight_is_a_config_error(bad):
+    # either would train on and surface later as a divergence
+    with pytest.raises(ConfigError, match="base_lr"):
+        cfg(base_lr=bad)
+    with pytest.raises(ConfigError, match="base_lr"):
+        PretrainSchedule(base_lr=bad)
+    with pytest.raises(ConfigError, match="task_loss_weights"):
+        cfg(task_loss_weights=(1.0, bad, 1.0))
+
+
 # ---------------------------------------------------------------------------
 # training behaviour
 
@@ -187,6 +198,36 @@ def test_frozen_uniform_attention_matches_mean_pooler_trace():
     for k in mean.checkpoint.params:
         assert np.array_equal(att.checkpoint.params[k].data,
                               mean.checkpoint.params[k].data), k
+
+
+def graph_size(loss):
+    """Recorded nodes reachable from loss."""
+    seen, stack = set(), [loss]
+    while stack:
+        t = stack.pop()
+        if t.node is not None and id(t) not in seen:
+            seen.add(id(t))
+            stack.extend(t.node.inputs)
+    return len(seen)
+
+
+def test_training_step_graph_has_at_most_72_nodes(monkeypatch):
+    # the acceptance shape: d=32, L=16, batch 8, two layers, attention
+    # pooler; projections are one linear node each and heads split and
+    # merge in one node, so layout moves do not pad the graph
+    module = importlib.import_module("trihead.train")
+    real, sizes = module.optimizer_step, []
+
+    def measure_then_step(opt, loss, step, lr):
+        sizes.append(graph_size(loss))
+        return real(opt, loss, step, lr)
+
+    monkeypatch.setattr(module, "optimizer_step", measure_then_step)
+    data = toy_dataset(8)
+    train(data, cfg(epochs=1, batch_size=8),
+          toy_init(data, d_model=32, n_layers=2, d_ff=64, max_len=16))
+    assert len(sizes) == 1
+    assert sizes[0] <= 72
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
