@@ -36,7 +36,7 @@ print("fresh attention == mean pooling:",
       bool(np.array_equal(att.data, avg.data)))
 
 alpha = attention_weights(h, mask, q)
-print("fresh weights row 0:", np.round(alpha[0], 4).tolist(),
+print("fresh weights row 0:", [round(float(a), 4) for a in alpha[0]],
       "(uniform over the 3 real tokens)")
 
 # ---------------------------------------------------------------------------

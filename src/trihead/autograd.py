@@ -72,8 +72,8 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def detach(self):
-        """Copy of the values, in their dtype, cut loose from the graph."""
-        return Tensor(self.data.copy(), dtype=self.data.dtype)
+        """The same values, sharing storage, cut loose from the graph."""
+        return Tensor(self.data, dtype=self.data.dtype)
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""

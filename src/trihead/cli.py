@@ -239,10 +239,7 @@ def cmd_score(args) -> int:
 
 def cmd_stats(args) -> int:
     cfg = _load_run_config(args.config, vars(args))
-    table = class_distribution(load_dataset(_require(cfg, "data", "--data")))
-    print(f"# seed {cfg.seed}")
-    print(table.to_table())
-    print(table.to_json())
+    _print_report(class_distribution(load_dataset(_require(cfg, "data", "--data"))), cfg.seed)
     return 0
 
 

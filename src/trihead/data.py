@@ -85,8 +85,7 @@ class DistributionTable:
         return "\n".join(f"{name:<6} {count:>7}" for name, count in rows)
 
 
-def _read_rows(path, expected_header: tuple):
-    lines = read_utf8(path, newline="").split("\n")
+def _read_rows(path, lines: list, expected_header: tuple):
     if lines and lines[-1] == "":
         lines.pop()
     if not lines:
@@ -116,12 +115,17 @@ def _fmt_header(header) -> str:
     return "/".join(header)
 
 
-def load_dataset(path, allow_empty_text: bool = False) -> list:
-    """Parse a labeled TSV into Examples; every label is validated against
-    its closed set, ids must be unique, and a header-only file is simply an
-    empty dataset."""
+def _read_lines(path) -> tuple:
+    """The file's lines, kept with their \\r so a CRLF header can be named,
+    and whether the first line, as universal newlines end it, is the
+    dataset header."""
+    lines = read_utf8(path, newline="").split("\n")
+    return lines, tuple(lines[0].split("\r", 1)[0].split("\t")) == DATASET_HEADER
+
+
+def _examples(path, lines: list, allow_empty_text: bool) -> list:
     examples = []
-    for lineno, (row_id, text, agg, gen, com) in _read_rows(path, DATASET_HEADER):
+    for lineno, (row_id, text, agg, gen, com) in _read_rows(path, lines, DATASET_HEADER):
         if not text and not allow_empty_text:
             raise DataError(f"{path}:{lineno}: empty text for id {row_id!r}")
         try:
@@ -130,6 +134,13 @@ def load_dataset(path, allow_empty_text: bool = False) -> list:
             raise DataError(f"{path}:{lineno} (id {row_id!r}): {e}") from None
         examples.append(Example(id=row_id, text=text, labels=labels))
     return examples
+
+
+def load_dataset(path, allow_empty_text: bool = False) -> list:
+    """Parse a labeled TSV into Examples; every label is validated against
+    its closed set, ids must be unique, and a header-only file is simply an
+    empty dataset."""
+    return _examples(path, _read_lines(path)[0], allow_empty_text)
 
 
 def write_dataset(examples, path) -> None:
@@ -146,20 +157,20 @@ def write_dataset(examples, path) -> None:
 def load_prediction_input(path) -> list:
     """Rows to predict: (id, text) pairs from either a bare id/text TSV or a
     full labeled dataset file (labels ignored)."""
-    first = read_utf8(path).split("\n", 1)[0]
-    if tuple(first.split("\t")) == DATASET_HEADER:
-        return [(ex.id, ex.text) for ex in load_dataset(path, allow_empty_text=True)]
-    return [(row_id, text) for _, (row_id, text) in _read_rows(path, PREDICTION_HEADER)]
+    lines, is_dataset = _read_lines(path)
+    if is_dataset:
+        return [(ex.id, ex.text) for ex in _examples(path, lines, allow_empty_text=True)]
+    return [(row_id, text) for _, (row_id, text) in _read_rows(path, lines, PREDICTION_HEADER)]
 
 
 def load_labels(path) -> dict:
     """id → TriLabel from either a full dataset file or a text-less
     id + three-label TSV (the shape a scorer receives)."""
-    first = read_utf8(path).split("\n", 1)[0]
-    if tuple(first.split("\t")) == DATASET_HEADER:
-        return {ex.id: ex.labels for ex in load_dataset(path, allow_empty_text=True)}
+    lines, is_dataset = _read_lines(path)
+    if is_dataset:
+        return {ex.id: ex.labels for ex in _examples(path, lines, allow_empty_text=True)}
     out = {}
-    for lineno, (row_id, agg, gen, com) in _read_rows(path, LABELS_HEADER):
+    for lineno, (row_id, agg, gen, com) in _read_rows(path, lines, LABELS_HEADER):
         try:
             out[row_id] = TriLabel(agg, gen, com)
         except DataError as e:

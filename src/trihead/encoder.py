@@ -9,6 +9,9 @@ projection tied to the token embedding table.
 
 from __future__ import annotations
 
+import math
+import os
+import resource
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +35,9 @@ from .autograd import (
 )
 from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
 from .optim import AdamW, lr_at, optimizer_step
-from .textpipe import EncodedBatch, Vocab, batch_encode
+from .textpipe import RESERVED, UNK_ID, EncodedBatch, Vocab, batch_encode
 
 NEG_INF = -1e9
-_N_SPECIAL = 4  # [PAD] [UNK] [CLS] [SEP]
 
 
 @dataclass(frozen=True)
@@ -49,8 +51,8 @@ class EncoderConfig:
     dropout_p: float = 0.3
 
     def __post_init__(self):
-        if self.vocab_size < _N_SPECIAL + 1:
-            raise ConfigError(f"vocab_size must exceed the {_N_SPECIAL} reserved ids")
+        if self.vocab_size < len(RESERVED) + 1:
+            raise ConfigError(f"vocab_size must exceed the {len(RESERVED)} reserved ids")
         for field in ("d_model", "n_layers", "n_heads", "d_ff"):
             if getattr(self, field) < 1:
                 raise ConfigError(f"{field} must be positive")
@@ -94,28 +96,38 @@ def param_specs(config: EncoderConfig):
     yield "mlm_bias", (config.vocab_size,), "zeros"
 
 
-def fill_params(specs, seed, dtype=np.float32) -> dict:
-    """Fresh name → Tensor table for (name, shape, fill) specs; the normal
-    draws come from one generator in spec order. seed may be an int or a
-    SeedSequence. A parameter too large to allocate is a ConfigError naming
-    it and its shape."""
+def _memory_bytes() -> int:
+    """What this process can hold: physical memory, or RLIMIT_AS if lower."""
+    physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    cap = resource.getrlimit(resource.RLIMIT_AS)[0]
+    return physical if cap == resource.RLIM_INFINITY else min(physical, cap)
+
+
+def fill_params(config: EncoderConfig, specs, seed, dtype=np.float32) -> dict:
+    """Fresh name → Tensor table for config's (name, shape, fill) specs; the
+    normal draws come from one generator in spec order. seed may be an int
+    or a SeedSequence. The specs' bytes are summed before anything is
+    allocated: a table this process cannot hold is a ConfigError naming the
+    parameter where it overflows, the running total and config."""
+    walked, total, limit = [], 0, _memory_bytes()
+    for name, shape, fill in specs:
+        total += math.prod(shape) * np.dtype(dtype).itemsize
+        if total > limit:
+            raise ConfigError(f"parameter {name!r} of shape {shape} does not fit in memory: "
+                              f"the parameters of {config} reach {total / 2**30:.1f} GiB "
+                              f"there, past the {limit / 2**30:.1f} GiB this process can hold")
+        walked.append((name, shape, fill))
     rng = np.random.default_rng(seed)
     fills = {"normal": lambda shape: rng.normal(0.0, 0.02, shape),
              "zeros": np.zeros, "ones": np.ones, "eye": lambda shape: np.eye(shape[0])}
-    table = {}
-    for name, shape, fill in specs:
-        try:
-            table[name] = Tensor(fills[fill](shape), requires_grad=True, dtype=dtype)
-        except MemoryError:
-            raise ConfigError(f"parameter {name!r} of shape {shape} does not fit "
-                              "in memory") from None
-    return table
+    return {name: Tensor(fills[fill](shape), requires_grad=True, dtype=dtype)
+            for name, shape, fill in walked}
 
 
 def init_encoder_params(config: EncoderConfig, seed, dtype=np.float32) -> dict:
     """Fresh encoder table in param_specs order: N(0, 0.02) weights,
     standard layer-norm affines, zero biases."""
-    return fill_params(param_specs(config), seed, dtype)
+    return fill_params(config, param_specs(config), seed, dtype)
 
 
 def _attention(x, mask_bias, params, prefix, config):
@@ -198,7 +210,7 @@ def _mask_tokens(ids, mask, rate, vocab_size, rng):
     corrupted = ids.copy()
     positions, targets = [], []
     for row in range(b):
-        cand = np.flatnonzero((mask[row] == 1) & (ids[row] >= _N_SPECIAL))
+        cand = np.flatnonzero((mask[row] == 1) & (ids[row] >= len(RESERVED)))
         if cand.size == 0:
             continue
         k = max(1, int(round(rate * cand.size)))
@@ -208,9 +220,9 @@ def _mask_tokens(ids, mask, rate, vocab_size, rng):
             targets.append(ids[row, col])
             roll = rng.random()
             if roll < 0.8:
-                corrupted[row, col] = 1  # [UNK] serves as the mask token
+                corrupted[row, col] = UNK_ID  # [UNK] serves as the mask token
             elif roll < 0.9:
-                corrupted[row, col] = rng.integers(_N_SPECIAL, vocab_size)
+                corrupted[row, col] = rng.integers(len(RESERVED), vocab_size)
     return corrupted, np.asarray(positions), np.asarray(targets, dtype=np.int64)
 
 
@@ -227,7 +239,7 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
     if not corpus:
         raise DataError("pretrain_mlm: empty corpus")
     encoded = batch_encode(corpus, vocab, config.max_len)
-    maskable = (encoded.attention_mask == 1) & (encoded.token_ids >= _N_SPECIAL)
+    maskable = (encoded.attention_mask == 1) & (encoded.token_ids >= len(RESERVED))
     keep = np.flatnonzero(maskable.any(axis=1))
     if keep.size == 0:
         raise DataError("pretrain_mlm: corpus has no maskable tokens")

@@ -25,21 +25,25 @@ def lr_at(step: int, total_steps: int, config) -> float:
     return base * (total_steps - step) / (total_steps - warmup)
 
 
-def clip_global_norm(params, max_norm: float = 1.0) -> float:
-    """Scale every gradient so their joint L2 norm is at most max_norm.
-    Accepts a name → Tensor table or any iterable of Tensors; returns the
-    pre-clip norm."""
-    tensors = list(params.values() if hasattr(params, "values") else params)
-    total = 0.0
-    for t in tensors:
-        if t.grad is not None:
-            total += float(np.sum(t.grad.astype(np.float64) ** 2))
+# the AdamW defaults of Loshchilov & Hutter, Decoupled Weight Decay
+# Regularization (2019), and the global gradient-norm budget
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+WEIGHT_DECAY = 0.01
+MAX_GRAD_NORM = 1.0
+
+
+def clip_global_norm(params: dict) -> float:
+    """Scale every gradient of a name → Tensor table so their joint L2 norm
+    is at most MAX_GRAD_NORM; returns the pre-clip norm."""
+    grads = [t.grad for t in params.values() if t.grad is not None]
+    total = 0.0  # a plain loop: sum() compensates float rounding from Python 3.12 on
+    for g in grads:
+        total += float(np.sum(g.astype(np.float64) ** 2))
     norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        factor = max_norm / norm
-        for t in tensors:
-            if t.grad is not None:
-                t.grad *= factor
+    if norm > MAX_GRAD_NORM:
+        factor = MAX_GRAD_NORM / norm
+        for g in grads:
+            g *= factor
     return norm
 
 
@@ -50,35 +54,30 @@ class AdamW:
     step) are left alone; decay is applied to every updated parameter.
     """
 
-    def __init__(self, params: dict, betas=(0.9, 0.999), eps: float = 1e-8,
-                 weight_decay: float = 0.01):
+    def __init__(self, params: dict):
         self.params = params
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.weight_decay = weight_decay
         self.t = 0
         self._m = {k: np.zeros_like(v.data) for k, v in params.items()}
         self._v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self, lr: float) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             if not p.requires_grad or p.grad is None:
                 continue
             g = p.grad
             m = self._m[name]
             v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            if self.weight_decay:
-                p.data -= (lr * self.weight_decay) * p.data
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= (lr * WEIGHT_DECAY) * p.data
             mhat = m / bc1
             vhat = v / bc2
-            p.data -= lr * mhat / (np.sqrt(vhat) + self.eps)
+            p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -86,7 +85,7 @@ class AdamW:
 
 
 def optimizer_step(opt: AdamW, loss: Tensor, step: int, lr: float) -> float:
-    """Backward, clip the global gradient norm to 1.0, update at lr; returns
+    """Backward, clip the global gradient norm, update at lr; returns
     the loss value. A non-finite loss or norm raises DivergenceError(step)."""
     value = loss.item()
     if not np.isfinite(value):
@@ -95,7 +94,7 @@ def optimizer_step(opt: AdamW, loss: Tensor, step: int, lr: float) -> float:
     backward(loss)
     # NaN > 1 is false, so a NaN norm would pass unclipped into the
     # parameters and surface only at the next step
-    if not np.isfinite(clip_global_norm(opt.params, 1.0)):
+    if not np.isfinite(clip_global_norm(opt.params)):
         raise DivergenceError(step, "gradient norm")
     opt.step(lr)
     return value

@@ -49,13 +49,14 @@ def attention_pool(h: Tensor, mask: np.ndarray, q: Tensor, w_h: Tensor) -> Tenso
 
 
 def attention_weights(h: Tensor, mask: np.ndarray, q: Tensor) -> np.ndarray:
-    """The α row per example (B×L numpy array), for inspection."""
+    """The α rows attention_pool weighs h by (B×L numpy array in h's dtype),
+    for inspection: its ops on detached inputs, so the model's α bit for
+    bit."""
     _check_mask(h, mask)
     b, l, d = h.shape
-    scores = h.data @ q.data.reshape(d, 1)
-    scores = scores.reshape(b, l) + (1 - mask) * NEG_INF
-    shifted = np.exp(scores - scores.max(axis=1, keepdims=True))
-    return shifted / shifted.sum(axis=1, keepdims=True)
+    scores = reshape(matmul(h.detach(), reshape(q.detach(), (d, 1))), (b, l))
+    bias = Tensor(((1 - mask) * NEG_INF), dtype=h.dtype)
+    return softmax(add(scores, bias), axis=-1).data
 
 
 def mean_pool(h: Tensor, mask: np.ndarray) -> Tensor:

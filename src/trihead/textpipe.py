@@ -141,9 +141,6 @@ class Vocab:
     def __contains__(self, token: str) -> bool:
         return token in self._ids
 
-    def __len__(self):
-        return len(self._tokens)
-
     def id_of(self, token: str) -> int:
         """Id for the token, falling back to [UNK]."""
         return self._ids.get(token, UNK_ID)
@@ -202,28 +199,6 @@ def tokenize(text: str, vocab: Vocab) -> list[str]:
     return pieces
 
 
-def _token_ids(text: str, vocab: Vocab, max_len: int) -> list:
-    """[CLS] then the text's token ids, cut to max_len."""
-    if max_len < 2:
-        raise ConfigError(f"max_len must be at least 2, got {max_len}")
-    ids = [CLS_ID]
-    ids.extend(vocab.id_of(p) for p in tokenize(text, vocab))
-    return ids[:max_len]
-
-
-def encode(text: str, vocab: Vocab, max_len: int):
-    """[CLS]-first id sequence, truncated or right-padded to max_len.
-
-    Returns (ids, mask) as int64 arrays; mask is 1 over [CLS] and real
-    tokens, 0 over padding.
-    """
-    ids = _token_ids(text, vocab, max_len)
-    n = len(ids)
-    ids.extend([PAD_ID] * (max_len - n))
-    mask = [1] * n + [0] * (max_len - n)
-    return np.asarray(ids, dtype=np.int64), np.asarray(mask, dtype=np.int64)
-
-
 @dataclass(frozen=True)
 class EncodedBatch:
     """Padded id matrix plus its attention mask, both B×L int64.
@@ -246,20 +221,15 @@ class EncodedBatch:
         if np.any(np.diff(mask, axis=1) > 0):
             raise DataError("attention mask must be contiguous from the left")
 
-    @property
-    def batch_size(self) -> int:
-        return self.token_ids.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.token_ids.shape[1]
-
 
 def batch_encode(texts: Sequence[str], vocab: Vocab, max_len: int) -> EncodedBatch:
-    """Encode several texts into one padded batch."""
+    """One [CLS]-first id row per text, truncated or right-padded to
+    max_len; the mask is 1 over [CLS] and real tokens, 0 over padding."""
     if not texts:
         raise DataError("batch_encode: no texts")
-    rows = [_token_ids(t, vocab, max_len) for t in texts]
+    if max_len < 2:
+        raise ConfigError(f"max_len must be at least 2, got {max_len}")
+    rows = [[CLS_ID, *(vocab.id_of(p) for p in tokenize(t, vocab))][:max_len] for t in texts]
     try:
         ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
         mask = np.zeros((len(rows), max_len), dtype=np.int64)

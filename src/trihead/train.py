@@ -31,6 +31,7 @@ from .pooling import attention_pool, logits_for, mean_pool, predict_labels
 from .textpipe import EmojiMap, EncodedBatch, Vocab, batch_encode, normalize
 
 POOLER_KINDS = ("attention", "mean")
+PREDICT_CHUNK = 64   # rows per forward-only pass
 
 
 @dataclass(frozen=True)
@@ -170,12 +171,17 @@ def model_param_specs(config: EncoderConfig, pooler_kind: str):
 def init_model_params(config: EncoderConfig, pooler_kind: str, seed) -> dict:
     """Fresh name → Tensor table for the full model, in model_param_specs
     order."""
-    return fill_params(model_param_specs(config, pooler_kind), seed)
+    return fill_params(config, model_param_specs(config, pooler_kind), seed)
 
 
 def _copy_params(params: dict) -> dict:
     return {k: Tensor(t.data.copy(), requires_grad=t.requires_grad, dtype=t.data.dtype)
             for k, t in params.items()}
+
+
+def _encode(texts, vocab, config, emoji_map) -> EncodedBatch:
+    """Normalize raw texts and pad them into one batch of config.max_len."""
+    return batch_encode([normalize(t, emoji_map) for t in texts], vocab, config.max_len)
 
 
 def _targets(dataset) -> dict:
@@ -201,15 +207,18 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
     enc_config = replace(encoder_init.config, dropout_p=config.dropout_p)
     vocab = encoder_init.vocab
 
-    texts = [normalize(ex.text, emoji_map) for ex in dataset]
-    encoded = batch_encode(texts, vocab, enc_config.max_len)
+    encoded = _encode([ex.text for ex in dataset], vocab, enc_config, emoji_map)
     targets = _targets(dataset)
+    if dev is not None:
+        # encoded once; every epoch's dev score reads the same batch
+        dev_encoded = _encode([ex.text for ex in dev], vocab, enc_config, emoji_map)
+        dev_gold = [ex.labels for ex in dev]
 
     ss_init, ss_order, ss_drop = np.random.SeedSequence(config.seed).spawn(3)
     params = init_model_params(enc_config, config.pooler, ss_init)
     if encoder_init.params is not None:
         for name, tensor in encoder_init.params.items():
-            key = name if name.startswith("encoder.") else f"encoder.{name}"
+            key = f"encoder.{name}"
             if key not in params:
                 raise ConfigError(f"pretrained encoder: unexpected parameter {key!r}")
             if tensor.shape != params[key].shape:
@@ -260,8 +269,8 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
             step += 1
         if dev is not None:
             try:
-                report = _evaluate_params(params, enc_config, config.pooler, vocab,
-                                          dev, emoji_map)
+                report = _evaluate_params(params, enc_config, config.pooler,
+                                          dev_encoded, dev_gold)
             except NonFiniteError:
                 # the last update left weights whose forward pass overflows
                 raise DivergenceError(step - 1, "dev-eval activations") from None
@@ -288,22 +297,21 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
                        dev_history=dev_history, best_epoch=best_epoch)
 
 
-def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch,
-                     chunk: int = 64) -> list:
+def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch) -> list:
     """Label triples for every row of encoded, in its row order.
 
-    Rows run shortest first, and each chunk is cut to its longest real row,
-    so the encoder skips the padding a full-width batch would carry. Masked
-    keys weigh exactly zero, so a cut row computes what its full-width row
-    does; only the logits' last bits can move, because BLAS sums a shorter
-    row in another order.
+    Rows run shortest first, in chunks of PREDICT_CHUNK, and each chunk is
+    cut to its longest real row, so the encoder skips the padding a
+    full-width batch would carry. Masked keys weigh exactly zero, so a cut
+    row computes what its full-width row does; only the logits' last bits
+    can move, because BLAS sums a shorter row in another order.
     """
     params = {k: t.detach() for k, t in params.items()}  # forward only: no graph
     lengths = encoded.attention_mask.sum(axis=1)
     order = np.argsort(lengths, kind="stable")
     triples = [None] * len(order)
-    for start in range(0, len(order), chunk):
-        rows = order[start:start + chunk]
+    for start in range(0, len(order), PREDICT_CHUNK):
+        rows = order[start:start + PREDICT_CHUNK]
         width = int(lengths[rows[-1]])
         piece = EncodedBatch(token_ids=encoded.token_ids[rows, :width],
                              attention_mask=encoded.attention_mask[rows, :width])
@@ -328,8 +336,7 @@ def predict(checkpoint: Checkpoint, texts) -> list:
     emoji_map = None
     if checkpoint.meta.get("emoji_map"):
         emoji_map = EmojiMap(checkpoint.meta["emoji_map"])
-    cleaned = [normalize(t, emoji_map) for t in texts]
-    encoded = batch_encode(cleaned, checkpoint.vocab, checkpoint.config.max_len)
+    encoded = _encode(texts, checkpoint.vocab, checkpoint.config, emoji_map)
     try:
         triples = _predict_encoded(checkpoint.params, checkpoint.config,
                                    checkpoint.pooler_kind, encoded)
@@ -341,11 +348,10 @@ def predict(checkpoint: Checkpoint, texts) -> list:
     return [TriLabel(*t) for t in triples]
 
 
-def _evaluate_params(params, config, pooler_kind, vocab, dataset, emoji_map) -> MetricsReport:
-    texts = [normalize(ex.text, emoji_map) for ex in dataset]
-    encoded = batch_encode(texts, vocab, config.max_len)
+def _evaluate_params(params, config, pooler_kind, encoded: EncodedBatch, gold) -> MetricsReport:
+    """Score the labels params predict for encoded's rows against gold."""
     triples = _predict_encoded(params, config, pooler_kind, encoded)
-    return score_triples([ex.labels for ex in dataset], [TriLabel(*t) for t in triples])
+    return score_triples(gold, [TriLabel(*t) for t in triples])
 
 
 def evaluate(checkpoint: Checkpoint, dataset) -> MetricsReport:

@@ -410,3 +410,10 @@ def test_detach_cuts_graph():
     x = Tensor([1.0], requires_grad=True)
     y = scale(x, 2.0).detach()
     assert y.node is None and not y.requires_grad
+
+
+def test_detach_shares_storage():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    y = x.detach()
+    assert np.shares_memory(y.data, x.data)
+    assert y.dtype == x.dtype and not y.requires_grad

@@ -6,6 +6,7 @@ import struct
 import numpy as np
 import pytest
 
+import trihead.data
 from trihead.data import (
     CHECKPOINT_MAGIC,
     DistributionTable,
@@ -135,6 +136,24 @@ def test_labels_from_either_shape(tmp_path):
     want = {"q1": TriLabel("CAG", "GEN", "NCOM")}
     assert load_labels(full) == want
     assert load_labels(bare) == want
+
+
+@pytest.mark.parametrize("load, header, row", [
+    (load_prediction_input, "id\ttext", "q1\they"),
+    (load_prediction_input, HEADER, "q1\they\tCAG\tGEN\tNCOM"),
+    (load_labels, "id\taggression\tgender\tcommunal", "q1\tCAG\tGEN\tNCOM"),
+    (load_labels, HEADER, "q1\they\tCAG\tGEN\tNCOM"),
+], ids=["predict-bare", "predict-full", "labels-bare", "labels-full"])
+def test_each_load_reads_its_file_once(tmp_path, monkeypatch, load, header, row):
+    real_read, reads = trihead.data.read_utf8, []
+
+    def counted(path, *args, **kwargs):
+        reads.append(path)
+        return real_read(path, *args, **kwargs)
+
+    monkeypatch.setattr(trihead.data, "read_utf8", counted)
+    assert load(write(tmp_path, "f.tsv", [header, row]))
+    assert len(reads) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -114,7 +114,7 @@ def test_attention_rows_normalized_and_padding_ignored(monkeypatch):
         np.testing.assert_allclose(layer.sum(axis=-1), 1.0, atol=1e-6)
         # no weight lands on padded keys
         padded = batch.attention_mask == 0
-        for b in range(batch.batch_size):
+        for b in range(batch.token_ids.shape[0]):
             assert layer[b, :, :, padded[b]].max() == 0.0
 
 

@@ -122,6 +122,28 @@ def test_alpha_is_a_masked_distribution():
     assert alpha[0, 2] == 0.0
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_attention_weights_are_the_alpha_attention_pool_uses(monkeypatch, dtype):
+    rng = np.random.default_rng(12)
+    h = rand_h(4, 7, 16, seed=12, dtype=dtype)
+    mask = mask_of([7, 3, 1, 5], 7)
+    q = Tensor(rng.normal(size=16), dtype=dtype)
+    used = []
+
+    def capture(x, axis=-1):
+        out = softmax(x, axis=axis)
+        used.append(out.data.copy())
+        return out
+
+    monkeypatch.setattr(trihead.pooling, "softmax", capture)
+    attention_pool(h, mask, q, Tensor(np.eye(16), dtype=dtype))
+    monkeypatch.undo()
+    alpha = attention_weights(h, mask, q)
+    assert len(used) == 1
+    assert alpha.dtype == used[0].dtype == dtype
+    assert np.array_equal(alpha, used[0])
+
+
 def test_permuting_unmasked_positions_permutes_alpha_and_keeps_output():
     d = 8
     h = rand_h(1, 5, d, seed=8, dtype=np.float64)

@@ -22,7 +22,6 @@ from trihead.textpipe import (
     balance,
     batch_encode,
     build_vocab,
-    encode,
     normalize,
     tokenize,
 )
@@ -208,23 +207,29 @@ def test_tokenize_unknown_character_becomes_unk():
     assert tokenize("aQ", v) == ["a", UNK]
 
 
+def encode_one(text, vocab, max_len):
+    """The (ids, mask) row batch_encode gives one text."""
+    batch = batch_encode([text], vocab, max_len)
+    return batch.token_ids[0], batch.attention_mask[0]
+
+
 def test_encode_empty_text():
     v = build_vocab(["a a b"], 6)
-    ids, mask = encode("", v, max_len=4)
+    ids, mask = encode_one("", v, max_len=4)
     assert ids.tolist() == [CLS_ID, PAD_ID, PAD_ID, PAD_ID]
     assert mask.tolist() == [1, 0, 0, 0]
 
 
 def test_encode_direct_lookup():
     v = build_vocab(["a a b"], 6)
-    ids, mask = encode("a b", v, max_len=5)
+    ids, mask = encode_one("a b", v, max_len=5)
     assert ids.tolist() == [CLS_ID, v.id_of("a"), v.id_of("b"), PAD_ID, PAD_ID]
     assert mask.tolist() == [1, 1, 1, 0, 0]
 
 
 def test_encode_truncates_to_max_len():
     v = build_vocab(["a a b"], 6)
-    ids, mask = encode("a b a b a b a b", v, max_len=4)
+    ids, mask = encode_one("a b a b a b a b", v, max_len=4)
     assert len(ids) == 4 and len(mask) == 4
     assert ids.tolist() == [CLS_ID, v.id_of("a"), v.id_of("b"), v.id_of("a")]
     assert mask.tolist() == [1, 1, 1, 1]
@@ -233,13 +238,13 @@ def test_encode_truncates_to_max_len():
 def test_encode_min_len_guard():
     v = build_vocab(["a"], 6)
     with pytest.raises(ConfigError):
-        encode("a", v, max_len=1)
+        encode_one("a", v, max_len=1)
 
 
 @given(st.lists(st.sampled_from(["ami", "tumi", "bhalo", "kharap"]), min_size=0, max_size=12))
 def test_encode_ids_in_range_and_cls_first(words):
     v = build_vocab(["ami tumi bhalo", "kharap bhalo ami"], 40)
-    ids, mask = encode(" ".join(words), v, max_len=8)
+    ids, mask = encode_one(" ".join(words), v, max_len=8)
     assert ids[0] == CLS_ID
     assert ids.max() < v.size and ids.min() >= 0
     # mask is monotone non-increasing
@@ -250,7 +255,7 @@ def test_batch_encode_equals_stacked_encode():
     v = build_vocab(["ami tumi bhalo", "kharap bhalo ami"], 20)
     texts = ["ami bhalo", "", "ami tumi bhalo kharap bhalo ami tumi", "Qx ami", "tumi"]
     batch = batch_encode(texts, v, max_len=5)
-    pairs = [encode(t, v, max_len=5) for t in texts]
+    pairs = [encode_one(t, v, max_len=5) for t in texts]
     assert batch.token_ids.dtype == batch.attention_mask.dtype == np.int64
     assert np.array_equal(batch.token_ids, np.stack([p[0] for p in pairs]))
     assert np.array_equal(batch.attention_mask, np.stack([p[1] for p in pairs]))

@@ -456,6 +456,21 @@ def test_predict_and_evaluate_record_no_graph(overfit, chunk_logits):
     assert all(t.requires_grad for t in ck.params.values())
 
 
+def test_dev_split_is_encoded_once(monkeypatch):
+    module = importlib.import_module("trihead.train")
+    real_encode, calls = module.batch_encode, []
+
+    def counted(texts, *args):
+        calls.append(len(texts))
+        return real_encode(texts, *args)
+
+    monkeypatch.setattr(module, "batch_encode", counted)
+    data = toy_dataset(16, seed=1)
+    train(data, cfg(epochs=2, batch_size=8, base_lr=2e-3), toy_init(data),
+          dev=toy_dataset(8, seed=2))
+    assert calls == [16, 8]  # the training rows, then the dev rows, once
+
+
 def test_dev_eval_records_no_graph_and_leaves_params_trainable(chunk_logits, monkeypatch):
     module = importlib.import_module("trihead.train")
     real_eval, tables = module._evaluate_params, []
