@@ -13,7 +13,7 @@ from trihead.assets import asset_path
 from trihead.data import load_dataset
 from trihead.encoder import EncoderConfig, PretrainSchedule, pretrain_mlm
 from trihead.textpipe import build_vocab, normalize
-from trihead.train import EncoderInit, TrainConfig, train
+from trihead.train import TrainConfig, train
 
 # 1. A raw corpus: one sentence per line, same word pools as the labeled
 #    set but no labels. The vocabulary comes from here.
@@ -40,12 +40,11 @@ for step in (0, 49, 149, 299):
 #    from the pretrained weights. Count epochs to reach 0.95 exact match
 #    on the training set.
 data = load_dataset(asset_path("synth_train.tsv"))
-recipe = TrainConfig(epochs=60, batch_size=8, dropout_p=0.3, base_lr=2e-3,
+recipe = TrainConfig(epochs=60, batch_size=8, base_lr=2e-3,
                      seed=42, pooler="attention")
 
 for label, start in (("fresh", None), ("warm", params)):
-    init = EncoderInit(config=config, vocab=vocab, params=start)
-    result = train(data, recipe, init, dev=data)
+    result = train(data, recipe, config, vocab, dev=data, pretrained=start)
     hit = next((i for i, r in enumerate(result.dev_history)
                 if r.instance_f1 >= 0.95), None)
     final = result.dev_history[-1].instance_f1

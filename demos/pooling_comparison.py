@@ -18,7 +18,7 @@ from trihead.data import load_dataset
 from trihead.encoder import EncoderConfig
 from trihead.pooling import attention_pool, attention_weights, mean_pool
 from trihead.textpipe import batch_encode, build_vocab, normalize
-from trihead.train import EncoderInit, TrainConfig, train
+from trihead.train import TrainConfig, train
 
 # ---------------------------------------------------------------------------
 # 1. The zero-query identity, numerically exact.
@@ -50,9 +50,8 @@ config = EncoderConfig(vocab_size=vocab.size, d_model=32, n_layers=2,
 
 results = {}
 for pooler in ("attention", "mean"):
-    tc = TrainConfig(epochs=60, batch_size=8, dropout_p=0.3, base_lr=2e-3,
-                     seed=42, pooler=pooler)
-    result = train(data, tc, EncoderInit(config=config, vocab=vocab), dev=data)
+    tc = TrainConfig(epochs=60, batch_size=8, base_lr=2e-3, seed=42, pooler=pooler)
+    result = train(data, tc, config, vocab, dev=data)
     final = result.dev_history[-1]
     results[pooler] = result
     print(f"{pooler:9} pooler: exact match {final.instance_f1:.3f}, "

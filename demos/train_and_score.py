@@ -15,7 +15,7 @@ from trihead.assets import asset_path
 from trihead.data import load_dataset
 from trihead.encoder import EncoderConfig
 from trihead.textpipe import build_vocab, normalize
-from trihead.train import EncoderInit, TrainConfig, evaluate, predict, train
+from trihead.train import TrainConfig, evaluate, predict, train
 
 # 1. Data and vocabulary. The bundled corpus is synthetic and separable:
 #    planted cue words decide each label, filler words carry nothing.
@@ -30,10 +30,10 @@ print(f"{len(data)} training rows, {len(dev)} dev rows, "
 #    is scaled up because this encoder is tiny.
 config = EncoderConfig(vocab_size=vocab.size, d_model=32, n_layers=2,
                        n_heads=2, d_ff=64, max_len=16, dropout_p=0.3)
-recipe = TrainConfig(epochs=150, batch_size=8, dropout_p=0.3, base_lr=2e-3,
+recipe = TrainConfig(epochs=150, batch_size=8, base_lr=2e-3,
                      seed=42, pooler="attention")
 
-result = train(data, recipe, EncoderInit(config=config, vocab=vocab), dev=dev)
+result = train(data, recipe, config, vocab, dev=dev)
 print(f"best dev epoch: {result.best_epoch}")
 
 # 3. The per-epoch dev reports show the usual shape: fast early gains,

@@ -37,7 +37,7 @@ from .errors import (
 from .metrics import MetricsReport, TriLabel, score_triples
 from .pooling import attention_pool, mean_pool, predict_labels
 from .textpipe import EmojiMap, Vocab, balance, batch_encode, build_vocab, normalize
-from .train import Checkpoint, EncoderInit, TrainConfig, evaluate, predict, train
+from .train import Checkpoint, TrainConfig, evaluate, predict, train
 
 __version__ = "0.1.0"
 
@@ -71,7 +71,6 @@ __all__ = [
     "build_vocab",
     "normalize",
     "Checkpoint",
-    "EncoderInit",
     "TrainConfig",
     "evaluate",
     "predict",

@@ -36,7 +36,6 @@ from .textpipe import EmojiMap, balance, build_vocab, normalize, read_utf8
 from .train import (
     POOLER_KINDS,
     Checkpoint,
-    EncoderInit,
     TrainConfig,
     evaluate,
     predict,
@@ -58,9 +57,10 @@ def _field_defaults(cls, keys=None) -> dict:
 
 # Union of everything a command can be told, flat on purpose so the JSON
 # file stays a single skimmable object. Each library config owns its
-# defaults; on a shared key the fine-tuning default wins, so pretrain
-# without --seed uses TrainConfig's seed. Only the keys at the end have
-# defaults of their own.
+# defaults; on a key PretrainSchedule shares with TrainConfig (seed,
+# warmup_steps) the fine-tuning default wins, so pretrain without --seed
+# uses TrainConfig's seed. Only the keys at the end have defaults of
+# their own.
 _DEFAULTS = {
     **_field_defaults(PretrainSchedule, _PRETRAIN_KEYS),
     **_field_defaults(EncoderConfig),
@@ -164,6 +164,7 @@ def cmd_train(args) -> int:
     dev = load_dataset(cfg.dev) if cfg.dev else None
     emoji_map = _load_emoji_map(cfg)
 
+    pretrained = None
     if cfg.encoder:
         warm = load_checkpoint(cfg.encoder)
         if warm.kind != "encoder":
@@ -171,19 +172,19 @@ def cmd_train(args) -> int:
                 f"{cfg.encoder}: --encoder wants an encoder-only checkpoint, "
                 f"got kind {warm.kind!r}"
             )
-        init = EncoderInit(config=warm.config, vocab=warm.vocab,
-                           params=warm.params)
+        # the pretrained shape and vocabulary carry over; dropout is this run's
+        config = dataclasses.replace(warm.config, dropout_p=cfg.dropout_p)
+        vocab, pretrained = warm.vocab, warm.params
     else:
         texts = [normalize(ex.text, emoji_map=emoji_map) for ex in dataset]
         vocab = build_vocab(texts, target_size=cfg.vocab_target_size)
         config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
-        init = EncoderInit(config=config, vocab=vocab)
 
     if cfg.balance:
         dataset = balance(dataset, seed=cfg.seed)
 
-    result = train(dataset, _library_config(TrainConfig, cfg), init, dev=dev,
-                   emoji_map=emoji_map)
+    result = train(dataset, _library_config(TrainConfig, cfg), config, vocab, dev=dev,
+                   emoji_map=emoji_map, pretrained=pretrained)
 
     if cfg.out:
         out = Path(cfg.out)
@@ -246,6 +247,7 @@ def cmd_stats(args) -> int:
 def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args.config, vars(args))
     corpus_path = _require(cfg, "data", "--corpus")
+    out = Path(_require(cfg, "out", "--out"))
     try:
         raw = read_utf8(corpus_path)
     except OSError as e:
@@ -262,7 +264,6 @@ def cmd_pretrain(args) -> int:
     schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
     params, losses = pretrain_mlm(sentences, vocab, config, schedule)
 
-    out = Path(_require(cfg, "out", "--out"))
     out.mkdir(parents=True, exist_ok=True)
     meta = {"seed": cfg.seed, "steps": schedule.steps,
             "initial_loss": losses[0], "final_loss": losses[-1]}

@@ -103,31 +103,33 @@ def _memory_bytes() -> int:
     return physical if cap == resource.RLIM_INFINITY else min(physical, cap)
 
 
-def fill_params(config: EncoderConfig, specs, seed, dtype=np.float32) -> dict:
-    """Fresh name → Tensor table for config's (name, shape, fill) specs; the
-    normal draws come from one generator in spec order. seed may be an int
-    or a SeedSequence. The specs' bytes are summed before anything is
-    allocated: a table this process cannot hold is a ConfigError naming the
-    parameter where it overflows, the running total and config."""
+def fill_params(config: EncoderConfig, specs, seed) -> dict:
+    """Fresh float32 name → Tensor table for config's (name, shape, fill)
+    specs; the normal draws come from one generator in spec order. seed may
+    be an int or a SeedSequence. The training state's bytes (the table,
+    its gradients and AdamW's two moments) are summed before anything is
+    allocated: a state this process cannot hold is a ConfigError naming
+    the parameter where it overflows, the running total and config."""
     walked, total, limit = [], 0, _memory_bytes()
     for name, shape, fill in specs:
-        total += math.prod(shape) * np.dtype(dtype).itemsize
+        total += 4 * math.prod(shape) * np.dtype(np.float32).itemsize
         if total > limit:
             raise ConfigError(f"parameter {name!r} of shape {shape} does not fit in memory: "
-                              f"the parameters of {config} reach {total / 2**30:.1f} GiB "
+                              f"the training state (parameters, gradients and AdamW "
+                              f"moments) of {config} reaches {total / 2**30:.1f} GiB "
                               f"there, past the {limit / 2**30:.1f} GiB this process can hold")
         walked.append((name, shape, fill))
     rng = np.random.default_rng(seed)
     fills = {"normal": lambda shape: rng.normal(0.0, 0.02, shape),
              "zeros": np.zeros, "ones": np.ones, "eye": lambda shape: np.eye(shape[0])}
-    return {name: Tensor(fills[fill](shape), requires_grad=True, dtype=dtype)
+    return {name: Tensor(fills[fill](shape), requires_grad=True)
             for name, shape, fill in walked}
 
 
-def init_encoder_params(config: EncoderConfig, seed, dtype=np.float32) -> dict:
+def init_encoder_params(config: EncoderConfig, seed) -> dict:
     """Fresh encoder table in param_specs order: N(0, 0.02) weights,
     standard layer-norm affines, zero biases."""
-    return fill_params(config, param_specs(config), seed, dtype)
+    return fill_params(config, param_specs(config), seed)
 
 
 def _attention(x, mask_bias, params, prefix, config):

@@ -97,9 +97,6 @@ class EmojiMap:
             return text
         return self._pattern.sub(lambda m: f" {self.entries[m.group(0)]} ", text)
 
-    def __len__(self):
-        return len(self.entries)
-
 
 def normalize(raw: str, emoji_map: EmojiMap | None = None) -> str:
     """Scrub one comment: URLs out, emoji mapped or dropped, all Unicode

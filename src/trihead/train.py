@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -38,7 +38,6 @@ PREDICT_CHUNK = 64   # rows per forward-only pass
 class TrainConfig:
     epochs: int
     batch_size: int = 8
-    dropout_p: float = 0.3
     base_lr: float = 2e-5
     warmup_steps: int = 0
     seed: int = 42
@@ -54,8 +53,6 @@ class TrainConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not 0 < self.base_lr < np.inf:
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if not 0.0 <= self.dropout_p < 1.0:
-            raise ConfigError(f"dropout_p must be in [0, 1), got {self.dropout_p}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be nonnegative")
         if self.pooler not in POOLER_KINDS:
@@ -67,16 +64,6 @@ class TrainConfig:
             )
         object.__setattr__(self, "task_loss_weights", w)
         object.__setattr__(self, "freeze", tuple(self.freeze))
-
-
-@dataclass
-class EncoderInit:
-    """How to start the encoder: fresh from the seed when params is None,
-    otherwise from an already-trained parameter table (MLM warm start)."""
-
-    config: EncoderConfig
-    vocab: Vocab
-    params: dict | None = None
 
 
 @dataclass
@@ -192,11 +179,15 @@ def _targets(dataset) -> dict:
     }
 
 
-def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
-          dev=None, emoji_map: EmojiMap | None = None) -> TrainResult:
+def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
+          dev=None, emoji_map: EmojiMap | None = None,
+          pretrained: dict | None = None) -> TrainResult:
     """Run the fine-tuning loop; returns the checkpoint, the per-step trace,
     and per-epoch dev reports when a dev split was given.
 
+    The encoder is built from encoder, dropout rate included, and starts
+    fresh from the seed or from pretrained, a table of bare encoder
+    parameter names (MLM warm start).
     Deterministic: the seed drives init, batch order, and dropout through
     independent streams, so identical (seed, config, data) means identical
     parameters.
@@ -204,20 +195,20 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
     dataset = list(dataset)
     if not dataset:
         raise DataError("train: empty dataset")
-    enc_config = replace(encoder_init.config, dropout_p=config.dropout_p)
-    vocab = encoder_init.vocab
-
-    encoded = _encode([ex.text for ex in dataset], vocab, enc_config, emoji_map)
+    encoded = _encode([ex.text for ex in dataset], vocab, encoder, emoji_map)
     targets = _targets(dataset)
     if dev is not None:
+        dev = list(dev)
+        if not dev:
+            raise DataError("train: empty dev split")
         # encoded once; every epoch's dev score reads the same batch
-        dev_encoded = _encode([ex.text for ex in dev], vocab, enc_config, emoji_map)
+        dev_encoded = _encode([ex.text for ex in dev], vocab, encoder, emoji_map)
         dev_gold = [ex.labels for ex in dev]
 
     ss_init, ss_order, ss_drop = np.random.SeedSequence(config.seed).spawn(3)
-    params = init_model_params(enc_config, config.pooler, ss_init)
-    if encoder_init.params is not None:
-        for name, tensor in encoder_init.params.items():
+    params = init_model_params(encoder, config.pooler, ss_init)
+    if pretrained is not None:
+        for name, tensor in pretrained.items():
             key = f"encoder.{name}"
             if key not in params:
                 raise ConfigError(f"pretrained encoder: unexpected parameter {key!r}")
@@ -250,7 +241,7 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
             batch = EncodedBatch(token_ids=encoded.token_ids[pick],
                                  attention_mask=encoded.attention_mask[pick])
             try:
-                logits = forward_logits(params, enc_config, config.pooler, batch,
+                logits = forward_logits(params, encoder, config.pooler, batch,
                                         mode="train", rng=rng_drop)
                 task_losses = {t: cross_entropy(logits[t], targets[t][pick])
                                for t in TASKS}
@@ -269,7 +260,7 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
             step += 1
         if dev is not None:
             try:
-                report = _evaluate_params(params, enc_config, config.pooler,
+                report = _evaluate_params(params, encoder, config.pooler,
                                           dev_encoded, dev_gold)
             except NonFiniteError:
                 # the last update left weights whose forward pass overflows
@@ -291,7 +282,7 @@ def train(dataset, config: TrainConfig, encoder_init: EncoderInit,
         "final_dev_overall_micro_f1": best[0] if best is not None else None,
         "emoji_map": dict(emoji_map.entries) if emoji_map is not None else {},
     }
-    checkpoint = Checkpoint(kind="model", config=enc_config, vocab=vocab,
+    checkpoint = Checkpoint(kind="model", config=encoder, vocab=vocab,
                             pooler_kind=config.pooler, params=final_params, meta=meta)
     return TrainResult(checkpoint=checkpoint, trace=trace,
                        dev_history=dev_history, best_epoch=best_epoch)

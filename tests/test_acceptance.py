@@ -32,7 +32,6 @@ from trihead.metrics import (
 from trihead.pooling import attention_pool, mean_pool
 from trihead.textpipe import balance, batch_encode, build_vocab, normalize
 from trihead.train import (
-    EncoderInit,
     TrainConfig,
     evaluate,
     forward_logits,
@@ -75,10 +74,9 @@ def overfit_run(data, vocab, config, pooler, params=None):
     scaled up through the config (the published 2e-5 is sized for a model
     four orders of magnitude larger). Evaluated on the training set every
     epoch so the trajectory is visible."""
-    tc = TrainConfig(epochs=200, batch_size=8, dropout_p=0.3, base_lr=2e-3,
+    tc = TrainConfig(epochs=200, batch_size=8, base_lr=2e-3,
                      warmup_steps=0, seed=42, pooler=pooler)
-    init = EncoderInit(config=config, vocab=vocab, params=params)
-    return train(data, tc, init, dev=data)
+    return train(data, tc, config, vocab, dev=data, pretrained=params)
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from trihead.assets import asset_path
 from trihead.data import load_dataset
 from trihead.encoder import EncoderConfig
 from trihead.textpipe import build_vocab, normalize
-from trihead.train import EncoderInit, TrainConfig
+from trihead.train import TrainConfig
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -32,16 +32,16 @@ def test_tracer_patches_a_train_and_a_predict():
     data = load_dataset(asset_path("synth_train.tsv"))[:16]
     dev = load_dataset(asset_path("synth_dev.tsv"))[:8]
     vocab = build_vocab([normalize(ex.text) for ex in data], target_size=120)
-    init = EncoderInit(config=EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
-                                            n_heads=2, d_ff=32, max_len=12),
-                       vocab=vocab)
+    config = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
+                           n_heads=2, d_ff=32, max_len=12)
     # trihead.train is also the name of a function; the tracer patches the module
     module = sys.modules["trihead.train"]
     tracer, clock = tracing.Tracer(), tracing.StepClock()
     tracer.install()
     clock.install()
     try:
-        result = module.train(data, TrainConfig(epochs=1, base_lr=1e-3), init, dev=dev)
+        result = module.train(data, TrainConfig(epochs=1, base_lr=1e-3), config, vocab,
+                              dev=dev)
         module.predict(result.checkpoint, [ex.text for ex in dev])
     finally:
         clock.uninstall()

@@ -144,6 +144,24 @@ def test_eval_on_empty_dataset_is_a_data_error(tmp_path, capsys):
     assert "empty" in err
 
 
+def test_empty_dev_split_is_a_data_error_naming_it(tmp_path, capsys):
+    empty = tmp_path / "dev.tsv"
+    empty.write_text(HEADER + "\n")
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--dev", str(empty), *FAST)
+    assert code == 3
+    assert err == "error: train: empty dev split\n"
+
+
+def test_pretrain_without_out_stops_before_training(capsys, monkeypatch):
+    def must_not_run(*args):
+        raise AssertionError("pretrain_mlm ran before --out was checked")
+
+    monkeypatch.setattr(importlib.import_module("trihead.cli"), "pretrain_mlm", must_not_run)
+    code, _, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "3")
+    assert code == 2
+    assert "--out" in err
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergent_run_exits_4(tmp_path, capsys):
@@ -220,7 +238,9 @@ def cap_address_space():
     (["--max-len", "20000"], "shape (8, 2, 20000, 20000)", 60),
     # every layer is small: the table is sized before any of it is allocated
     (["--n-layers", "100000000"], "n_layers=100000000", 5),
-], ids=["d-model", "max-len-ids", "max-len-batch", "n-layers-1e8"])
+    # the table alone fits: its gradients and AdamW's moments do not
+    (["--n-layers", "9000"], "n_layers=9000", 5),
+], ids=["d-model", "max-len-ids", "max-len-batch", "n-layers-1e8", "n-layers-9000"])
 def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, message, seconds):
     # run only under the address-space cap: uncapped, these sizes may
     # take the machine's memory before numpy gives up
@@ -734,6 +754,19 @@ def test_warm_start_flag_consumes_encoder_checkpoint(tmp_path, capsys):
     ck = load_checkpoint(out / "model.ckpt")
     # architecture came from the pretrained encoder, not the defaults
     assert ck.config.d_model == 16
+
+
+def test_warm_start_records_the_dropout_of_the_run(tmp_path, capsys):
+    pre = tmp_path / "pre"
+    assert run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--out", str(pre),
+               "--steps", "3", "--d-model", "16", "--n-heads", "2",
+               "--d-ff", "32", "--max-len", "12", "--dropout", "0.1")[0] == 0
+    assert load_checkpoint(pre / "encoder.ckpt").config.dropout_p == 0.1
+    for given, want in ((["--dropout", "0.2"], 0.2), ([], 0.3)):
+        out = tmp_path / f"run{want}"
+        assert run(capsys, "train", "--data", TRAIN_TSV, "--encoder", str(pre / "encoder.ckpt"),
+                   "--out", str(out), "--epochs", "1", *given)[0] == 0
+        assert load_checkpoint(out / "model.ckpt").config.dropout_p == want
 
 
 def test_warm_start_rejects_full_model_checkpoint(tmp_path, capsys):

@@ -185,7 +185,8 @@ def _mlm_loss_builder(params, name, config, batch, positions, targets):
 ])
 def test_grad_check_through_encoder(name):
     config = small_config()
-    params = init_encoder_params(config, seed=5, dtype=np.float64)
+    params = {k: Tensor(v.data.astype(np.float64), dtype=np.float64, requires_grad=True)
+              for k, v in init_encoder_params(config, seed=5).items()}
     batch = make_batch([[2, 4, 5, 6], [2, 7, 8]], max_len=6)
     positions = np.array([1, 2, 7])  # flat B*L indices of real tokens
     targets = np.array([4, 5, 7])

@@ -111,7 +111,7 @@ def test_emoji_map_from_tsv(tmp_path):
         encoding="utf-8",
     )
     m = EmojiMap.from_tsv(p)
-    assert len(m) == 2
+    assert len(m.entries) == 2
     assert m.entries["\U0001f525"] == "agun"
 
 

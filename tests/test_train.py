@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from trihead.data import Example
+from trihead.data import Example, load_checkpoint, save_checkpoint
 from trihead.encoder import EncoderConfig, PretrainSchedule
 from trihead.errors import (
     CheckpointFormatError,
@@ -20,7 +20,6 @@ from trihead.optim import lr_at
 from trihead.textpipe import EncodedBatch, batch_encode, build_vocab, normalize
 from trihead.train import (
     Checkpoint,
-    EncoderInit,
     TrainConfig,
     evaluate,
     forward_logits,
@@ -57,11 +56,13 @@ def toy_dataset(n=24, seed=0):
 
 
 def toy_init(dataset, **enc_kw):
+    """(encoder config, vocabulary) for dataset: train's third and fourth
+    arguments."""
     vocab = build_vocab([normalize(ex.text) for ex in dataset], target_size=120)
     kw = dict(vocab_size=vocab.size, d_model=16, n_layers=1, n_heads=2,
               d_ff=32, max_len=10, dropout_p=0.3)
     kw.update(enc_kw)
-    return EncoderInit(config=EncoderConfig(**kw), vocab=vocab)
+    return EncoderConfig(**kw), vocab
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,6 @@ def test_train_config_rejects_bad_values():
         cfg(task_loss_weights=(1, -1, 1))
     with pytest.raises(ConfigError):
         cfg(task_loss_weights=(1, 1))
-    with pytest.raises(ConfigError):
-        cfg(dropout_p=1.0)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -146,7 +145,7 @@ def test_non_finite_rate_or_weight_is_a_config_error(bad):
 def test_first_step_loss_is_uniform_baseline():
     data = toy_dataset(16)
     result = train(data, cfg(epochs=1, batch_size=8, base_lr=1e-3, seed=1),
-                   toy_init(data))
+                   *toy_init(data))
     expected = math.log(3) + 2 * math.log(2)
     assert result.trace[0].loss == pytest.approx(expected, abs=0.05)
 
@@ -154,8 +153,8 @@ def test_first_step_loss_is_uniform_baseline():
 def test_training_is_seed_deterministic():
     data = toy_dataset(16)
     c = cfg(epochs=2, batch_size=8, base_lr=1e-3, seed=9)
-    r1 = train(data, c, toy_init(data))
-    r2 = train(data, c, toy_init(data))
+    r1 = train(data, c, *toy_init(data))
+    r2 = train(data, c, *toy_init(data))
     assert [row.loss for row in r1.trace] == [row.loss for row in r2.trace]
     p1, p2 = r1.checkpoint.params, r2.checkpoint.params
     assert p1.keys() == p2.keys()
@@ -164,8 +163,8 @@ def test_training_is_seed_deterministic():
 
 def test_different_seed_changes_parameters():
     data = toy_dataset(16)
-    r1 = train(data, cfg(epochs=1, batch_size=8, seed=1), toy_init(data))
-    r2 = train(data, cfg(epochs=1, batch_size=8, seed=2), toy_init(data))
+    r1 = train(data, cfg(epochs=1, batch_size=8, seed=1), *toy_init(data))
+    r2 = train(data, cfg(epochs=1, batch_size=8, seed=2), *toy_init(data))
     diff = any(
         not np.array_equal(r1.checkpoint.params[k].data, r2.checkpoint.params[k].data)
         for k in r1.checkpoint.params
@@ -176,7 +175,7 @@ def test_different_seed_changes_parameters():
 def test_zero_weight_tasks_never_move_their_heads():
     data = toy_dataset(16)
     result = train(data, cfg(epochs=2, batch_size=8, base_lr=1e-3, seed=3,
-                             task_loss_weights=(1.0, 0.0, 0.0)), toy_init(data))
+                             task_loss_weights=(1.0, 0.0, 0.0)), *toy_init(data))
     params = result.checkpoint.params
     for name in ("heads.gender.w", "heads.gender.b",
                  "heads.communal.w", "heads.communal.b"):
@@ -187,10 +186,10 @@ def test_zero_weight_tasks_never_move_their_heads():
 
 def test_frozen_uniform_attention_matches_mean_pooler_trace():
     data = toy_dataset(16)
-    common = dict(epochs=2, batch_size=8, base_lr=1e-3, seed=4, dropout_p=0.3)
+    common = dict(epochs=2, batch_size=8, base_lr=1e-3, seed=4)
     att = train(data, cfg(pooler="attention", freeze=("pooler.",), **common),
-                toy_init(data))
-    mean = train(data, cfg(pooler="mean", **common), toy_init(data))
+                *toy_init(data, dropout_p=0.3))
+    mean = train(data, cfg(pooler="mean", **common), *toy_init(data, dropout_p=0.3))
     att_losses = [row.loss for row in att.trace]
     mean_losses = [row.loss for row in mean.trace]
     assert att_losses == mean_losses
@@ -225,7 +224,7 @@ def test_training_step_graph_has_at_most_72_nodes(monkeypatch):
     monkeypatch.setattr(module, "optimizer_step", measure_then_step)
     data = toy_dataset(8)
     train(data, cfg(epochs=1, batch_size=8),
-          toy_init(data, d_model=32, n_layers=2, d_ff=64, max_len=16))
+          *toy_init(data, d_model=32, n_layers=2, d_ff=64, max_len=16))
     assert len(sizes) == 1
     assert sizes[0] <= 72
 
@@ -236,7 +235,7 @@ def test_divergence_is_reported_with_step():
     data = toy_dataset(8)
     with pytest.raises(DivergenceError) as err:
         train(data, cfg(epochs=40, batch_size=8, base_lr=1e12, seed=0),
-              toy_init(data))
+              *toy_init(data))
     assert err.value.step >= 1
 
 
@@ -244,7 +243,7 @@ def test_dev_split_tracks_best_epoch():
     data = toy_dataset(24, seed=1)
     dev = toy_dataset(12, seed=2)
     result = train(data, cfg(epochs=3, batch_size=8, base_lr=2e-3, seed=5),
-                   toy_init(data), dev=dev)
+                   *toy_init(data), dev=dev)
     assert len(result.dev_history) == 3
     assert result.best_epoch is not None
     best = result.dev_history[result.best_epoch].overall_micro_f1
@@ -259,18 +258,16 @@ def test_dev_split_tracks_best_epoch():
 def test_empty_dataset_rejected():
     data = toy_dataset(8)
     with pytest.raises(DataError, match="empty"):
-        train([], cfg(), toy_init(data))
+        train([], cfg(), *toy_init(data))
 
 
 def test_pretrained_encoder_params_are_used():
     data = toy_dataset(16)
-    init = toy_init(data)
-    fresh = init_model_params(init.config, "mean", seed=123)
-    warm = EncoderInit(config=init.config, vocab=init.vocab,
-                       params={k[len("encoder."):]: v for k, v in fresh.items()
-                               if k.startswith("encoder.")})
+    config, vocab = toy_init(data, dropout_p=0.0)
+    fresh = init_model_params(config, "mean", seed=123)
+    warm = {k[len("encoder."):]: v for k, v in fresh.items() if k.startswith("encoder.")}
     result = train(data, cfg(epochs=1, batch_size=16, base_lr=1e-9, seed=6,
-                             dropout_p=0.0, pooler="mean"), warm)
+                             pooler="mean"), config, vocab, pretrained=warm)
     # near-zero lr: encoder weights should still be (almost) the warm start
     got = result.checkpoint.params["encoder.tok_emb"].data
     want = fresh["encoder.tok_emb"].data
@@ -279,12 +276,21 @@ def test_pretrained_encoder_params_are_used():
 
 def test_pretrained_params_shape_mismatch_rejected():
     data = toy_dataset(8)
-    init = toy_init(data)
-    bad = EncoderInit(config=init.config, vocab=init.vocab,
-                      params={"tok_emb": init_model_params(init.config, "mean", 0)
-                              ["encoder.pos_emb"]})
+    config, vocab = toy_init(data)
+    bad = {"tok_emb": init_model_params(config, "mean", 0)["encoder.pos_emb"]}
     with pytest.raises(ConfigError, match="shape"):
-        train(data, cfg(epochs=1), bad)
+        train(data, cfg(epochs=1), config, vocab, pretrained=bad)
+
+
+def test_dropout_comes_from_the_encoder_config(tmp_path):
+    data = toy_dataset(8)
+    runs = {p: train(data, cfg(batch_size=4), *toy_init(data, dropout_p=p))
+            for p in (0.0, 0.5)}
+    # zero heads make the first loss the baseline whatever the dropout; the
+    # second step's loss sees the rate the encoder config gave
+    assert runs[0.0].trace[1].loss != runs[0.5].trace[1].loss
+    save_checkpoint(runs[0.0].checkpoint, tmp_path / "model.ckpt")
+    assert load_checkpoint(tmp_path / "model.ckpt").config.dropout_p == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +299,7 @@ def test_pretrained_params_shape_mismatch_rejected():
 
 def test_trace_csv_shape():
     data = toy_dataset(8)
-    result = train(data, cfg(epochs=2, batch_size=4, seed=7), toy_init(data))
+    result = train(data, cfg(epochs=2, batch_size=4, seed=7), *toy_init(data))
     text = trace_to_csv(result.trace)
     lines = text.strip().split("\n")
     assert lines[0] == "step,lr,loss,loss_aggression,loss_gender,loss_communal"
@@ -309,8 +315,8 @@ def test_trace_csv_shape():
 
 def overfit_checkpoint(seed=11):
     data = toy_dataset(24, seed=3)
-    result = train(data, cfg(epochs=40, batch_size=8, base_lr=3e-3,
-                             seed=seed, dropout_p=0.1), toy_init(data))
+    result = train(data, cfg(epochs=40, batch_size=8, base_lr=3e-3, seed=seed),
+                   *toy_init(data, dropout_p=0.1))
     return data, result.checkpoint
 
 
@@ -466,7 +472,7 @@ def test_dev_split_is_encoded_once(monkeypatch):
 
     monkeypatch.setattr(module, "batch_encode", counted)
     data = toy_dataset(16, seed=1)
-    train(data, cfg(epochs=2, batch_size=8, base_lr=2e-3), toy_init(data),
+    train(data, cfg(epochs=2, batch_size=8, base_lr=2e-3), *toy_init(data),
           dev=toy_dataset(8, seed=2))
     assert calls == [16, 8]  # the training rows, then the dev rows, once
 
@@ -482,7 +488,7 @@ def test_dev_eval_records_no_graph_and_leaves_params_trainable(chunk_logits, mon
 
     monkeypatch.setattr(module, "_evaluate_params", evaluate_then_check)
     data = toy_dataset(16, seed=1)
-    train(data, cfg(epochs=2, batch_size=8, base_lr=2e-3), toy_init(data),
+    train(data, cfg(epochs=2, batch_size=8, base_lr=2e-3), *toy_init(data),
           dev=toy_dataset(8, seed=2))
     assert tables == [True, True]
     assert_no_graph(chunk_logits)
