@@ -144,10 +144,13 @@ def _require(cfg: RunConfig, field: str, flag: str) -> str:
     return value
 
 
+def _print_seeded(seed: int, *lines: str) -> None:
+    """A command's stdout: the seed in effect, then the command's lines."""
+    print(f"# seed {seed}", *lines, sep="\n")
+
+
 def _print_report(report, seed: int) -> None:
-    print(f"# seed {seed}")
-    print(report.to_table())
-    print(report.to_json())
+    _print_seeded(seed, report.to_table(), report.to_json())
 
 
 def _load_emoji_map(cfg: RunConfig):
@@ -180,10 +183,12 @@ def cmd_train(args) -> int:
         vocab = build_vocab(texts, target_size=cfg.vocab_target_size)
         config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
 
+    # built before balance, which would fail on a seed TrainConfig rejects
+    train_config = _library_config(TrainConfig, cfg)
     if cfg.balance:
         dataset = balance(dataset, seed=cfg.seed)
 
-    result = train(dataset, _library_config(TrainConfig, cfg), config, vocab, dev=dev,
+    result = train(dataset, train_config, config, vocab, dev=dev,
                    emoji_map=emoji_map, pretrained=pretrained)
 
     if cfg.out:
@@ -217,8 +222,7 @@ def cmd_predict(args) -> int:
     rows = [Example(id=row_id, text=text, labels=lab)
             for (row_id, text), lab in zip(pairs, labels)]
     write_dataset(rows, args.output)
-    print(f"# seed {cfg.seed}")
-    print(f"wrote {len(rows)} predictions to {args.output}")
+    _print_seeded(cfg.seed, f"wrote {len(rows)} predictions to {args.output}")
     return 0
 
 
@@ -276,10 +280,10 @@ def cmd_pretrain(args) -> int:
                                     for i, v in enumerate(losses))
     (out / "pretrain_trace.csv").write_text(trace, encoding="utf-8")
 
-    print(f"# seed {cfg.seed}")
-    print(f"pretrained {schedule.steps} steps on {len(sentences)} sentences")
-    print(f"masked-token loss {repr(losses[0])} -> {repr(losses[-1])}")
-    print(f"wrote {out / 'encoder.ckpt'}")
+    _print_seeded(cfg.seed,
+                  f"pretrained {schedule.steps} steps on {len(sentences)} sentences",
+                  f"masked-token loss {repr(losses[0])} -> {repr(losses[-1])}",
+                  f"wrote {out / 'encoder.ckpt'}")
     return 0
 
 

@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+from collections import Counter
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
@@ -27,13 +28,16 @@ import numpy as np
 from .autograd import Tensor
 from .encoder import EncoderConfig, param_specs
 from .errors import CheckpointFormatError, DataError
-from .metrics import TriLabel
+from .metrics import TASK_LABELS, TASKS, TriLabel
 from .textpipe import EmojiMap, Vocab, read_utf8
 from .train import POOLER_KINDS, Checkpoint, model_param_specs
 
-DATASET_HEADER = ("id", "text", "aggression", "gender", "communal")
+DATASET_HEADER = ("id", "text", *TASKS)
 PREDICTION_HEADER = ("id", "text")
-LABELS_HEADER = ("id", "aggression", "gender", "communal")
+LABELS_HEADER = ("id", *TASKS)
+# every label, task by task: the distribution table's rows, each naming
+# its DistributionTable field in lower case
+_LABELS = tuple(label for task in TASKS for label in TASK_LABELS[task])
 
 CHECKPOINT_MAGIC = b"TRHD"
 CHECKPOINT_VERSION = 1
@@ -60,29 +64,21 @@ class DistributionTable:
     total: int
 
     def __post_init__(self):
-        sums = (self.nag + self.cag + self.oag,
-                self.ngen + self.gen,
-                self.ncom + self.com)
+        sums = tuple(sum(getattr(self, label.lower()) for label in TASK_LABELS[task])
+                     for task in TASKS)
         if any(s != self.total for s in sums):
             raise DataError(
                 f"distribution sums {sums} disagree with total {self.total}"
             )
 
+    def _counts(self) -> dict:
+        return {name: getattr(self, name.lower()) for name in (*_LABELS, "total")}
+
     def to_json(self) -> str:
-        payload = {
-            "NAG": self.nag, "CAG": self.cag, "OAG": self.oag,
-            "NGEN": self.ngen, "GEN": self.gen,
-            "NCOM": self.ncom, "COM": self.com,
-            "total": self.total,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(self._counts(), sort_keys=True, separators=(",", ":"))
 
     def to_table(self) -> str:
-        rows = [("NAG", self.nag), ("CAG", self.cag), ("OAG", self.oag),
-                ("NGEN", self.ngen), ("GEN", self.gen),
-                ("NCOM", self.ncom), ("COM", self.com),
-                ("total", self.total)]
-        return "\n".join(f"{name:<6} {count:>7}" for name, count in rows)
+        return "\n".join(f"{name:<6} {count:>7}" for name, count in self._counts().items())
 
 
 def _read_rows(path, lines: list, expected_header: tuple):
@@ -125,14 +121,14 @@ def _read_lines(path) -> tuple:
 
 def _examples(path, lines: list, allow_empty_text: bool) -> list:
     examples = []
-    for lineno, (row_id, text, agg, gen, com) in _read_rows(path, lines, DATASET_HEADER):
+    for lineno, (row_id, text, *labels) in _read_rows(path, lines, DATASET_HEADER):
         if not text and not allow_empty_text:
             raise DataError(f"{path}:{lineno}: empty text for id {row_id!r}")
         try:
-            labels = TriLabel(agg, gen, com)
+            triple = TriLabel(*labels)
         except DataError as e:
             raise DataError(f"{path}:{lineno} (id {row_id!r}): {e}") from None
-        examples.append(Example(id=row_id, text=text, labels=labels))
+        examples.append(Example(id=row_id, text=text, labels=triple))
     return examples
 
 
@@ -149,8 +145,7 @@ def write_dataset(examples, path) -> None:
         for piece, what in ((ex.id, "id"), (ex.text, "text")):
             if "\t" in piece or "\n" in piece:
                 raise DataError(f"{what} of {ex.id!r} contains a tab or newline")
-        lines.append("\t".join((ex.id, ex.text, ex.labels.aggression,
-                                ex.labels.gender, ex.labels.communal)))
+        lines.append("\t".join((ex.id, ex.text, *map(ex.labels.get, TASKS))))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -170,26 +165,18 @@ def load_labels(path) -> dict:
     if is_dataset:
         return {ex.id: ex.labels for ex in _examples(path, lines, allow_empty_text=True)}
     out = {}
-    for lineno, (row_id, agg, gen, com) in _read_rows(path, lines, LABELS_HEADER):
+    for lineno, (row_id, *labels) in _read_rows(path, lines, LABELS_HEADER):
         try:
-            out[row_id] = TriLabel(agg, gen, com)
+            out[row_id] = TriLabel(*labels)
         except DataError as e:
             raise DataError(f"{path}:{lineno} (id {row_id!r}): {e}") from None
     return out
 
 
 def class_distribution(dataset) -> DistributionTable:
-    counts = {"NAG": 0, "CAG": 0, "OAG": 0, "NGEN": 0, "GEN": 0, "NCOM": 0, "COM": 0}
-    for ex in dataset:
-        counts[ex.labels.aggression] += 1
-        counts[ex.labels.gender] += 1
-        counts[ex.labels.communal] += 1
-    return DistributionTable(
-        nag=counts["NAG"], cag=counts["CAG"], oag=counts["OAG"],
-        ngen=counts["NGEN"], gen=counts["GEN"],
-        ncom=counts["NCOM"], com=counts["COM"],
-        total=len(dataset),
-    )
+    counts = Counter(ex.labels.get(task) for ex in dataset for task in TASKS)
+    return DistributionTable(**{label.lower(): counts[label] for label in _LABELS},
+                             total=len(dataset))
 
 
 # ---------------------------------------------------------------------------

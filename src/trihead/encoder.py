@@ -40,6 +40,12 @@ from .textpipe import RESERVED, UNK_ID, EncodedBatch, Vocab, batch_encode
 NEG_INF = -1e9
 
 
+def key_mask_bias(mask: np.ndarray, dtype) -> Tensor:
+    """Score bias for attention over keys: 0 where mask is 1, NEG_INF at
+    padding, so a softmax gives padded keys effectively zero weight."""
+    return Tensor((1 - mask) * NEG_INF, dtype=dtype)
+
+
 @dataclass(frozen=True)
 class EncoderConfig:
     vocab_size: int
@@ -164,9 +170,7 @@ def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
     x = add(embedding_lookup(params["tok_emb"], ids), pos)
     x = dropout(x, config.dropout_p, training=training, rng=rng)
 
-    # keys at padded positions are pushed to -1e9 before softmax
-    bias = ((1 - mask) * NEG_INF).astype(x.dtype).reshape(b, 1, 1, l)
-    mask_bias = Tensor(bias, dtype=x.dtype)
+    mask_bias = key_mask_bias(mask.reshape(b, 1, 1, l), x.dtype)
 
     for i in range(config.n_layers):
         p = f"layer{i}."
@@ -202,6 +206,8 @@ class PretrainSchedule:
             raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
         if not 0 < self.base_lr < np.inf:
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _mask_tokens(ids, mask, rate, vocab_size, rng):

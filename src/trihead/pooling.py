@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .autograd import Tensor, add, linear, matmul, reshape, softmax
-from .encoder import NEG_INF
+from .encoder import key_mask_bias
 from .metrics import TASK_LABELS, TASKS
 
 
@@ -42,8 +42,7 @@ def attention_pool(h: Tensor, mask: np.ndarray, q: Tensor, w_h: Tensor) -> Tenso
     _check_mask(h, mask)
     b, l, d = h.shape
     scores = reshape(matmul(h, reshape(q, (d, 1))), (b, l))
-    bias = Tensor(((1 - mask) * NEG_INF), dtype=h.dtype)
-    alpha = softmax(add(scores, bias), axis=-1)
+    alpha = softmax(add(scores, key_mask_bias(mask, h.dtype)), axis=-1)
     pooled = reshape(matmul(reshape(alpha, (b, 1, l)), h), (b, d))
     return matmul(pooled, w_h)
 
@@ -55,8 +54,7 @@ def attention_weights(h: Tensor, mask: np.ndarray, q: Tensor) -> np.ndarray:
     _check_mask(h, mask)
     b, l, d = h.shape
     scores = reshape(matmul(h.detach(), reshape(q.detach(), (d, 1))), (b, l))
-    bias = Tensor(((1 - mask) * NEG_INF), dtype=h.dtype)
-    return softmax(add(scores, bias), axis=-1).data
+    return softmax(add(scores, key_mask_bias(mask, h.dtype)), axis=-1).data
 
 
 def mean_pool(h: Tensor, mask: np.ndarray) -> Tensor:

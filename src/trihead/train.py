@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -55,13 +56,14 @@ class TrainConfig:
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
         if self.warmup_steps < 0:
             raise ConfigError("warmup_steps must be nonnegative")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
         if self.pooler not in POOLER_KINDS:
             raise ConfigError(f"pooler must be one of {POOLER_KINDS}, got {self.pooler!r}")
         w = tuple(float(x) for x in self.task_loss_weights)
-        if len(w) != 3 or not all(0 <= x < np.inf for x in w) or not any(w):
-            raise ConfigError(
-                "task_loss_weights needs three finite nonnegative values, at least one positive"
-            )
+        if len(w) != len(TASKS) or not all(0 <= x < np.inf for x in w) or not any(w):
+            raise ConfigError(f"task_loss_weights needs one finite nonnegative value per "
+                              f"task {TASKS}, at least one positive")
         object.__setattr__(self, "task_loss_weights", w)
         object.__setattr__(self, "freeze", tuple(self.freeze))
 
@@ -80,14 +82,8 @@ class Checkpoint:
     meta: dict = field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    step: int
-    lr: float
-    loss: float
-    loss_aggression: float
-    loss_gender: float
-    loss_communal: float
+# one training step: its lr, the weighted loss, then each task's own loss
+TraceRow = namedtuple("TraceRow", ("step", "lr", "loss", *(f"loss_{t}" for t in TASKS)))
 
 
 @dataclass
@@ -98,15 +94,12 @@ class TrainResult:
     best_epoch: int | None
 
 
-TRACE_FIELDS = tuple(f.name for f in fields(TraceRow))
-
-
 def trace_to_csv(rows) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TRACE_FIELDS)
+    writer.writerow(TraceRow._fields)
     for r in rows:
-        writer.writerow([repr(getattr(r, name)) for name in TRACE_FIELDS])
+        writer.writerow([repr(value) for value in r])
     return buf.getvalue()
 
 
@@ -248,15 +241,15 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
             except NonFiniteError:
                 # activations blew up before the loss could; same disease
                 raise DivergenceError(step) from None
-            loss = add(add(scale(task_losses["aggression"], weights[0]),
-                           scale(task_losses["gender"], weights[1])),
-                       scale(task_losses["communal"], weights[2]))
+            # summed left to right in task order: add(add(w0·L0, w1·L1), w2·L2)
+            loss = None
+            for t, w in zip(TASKS, weights):
+                term = scale(task_losses[t], w)
+                loss = term if loss is None else add(loss, term)
             lr = lr_at(step, total_steps, config)
             loss_value = optimizer_step(opt, loss, step, lr)
             trace.append(TraceRow(step, lr, loss_value,
-                                  task_losses["aggression"].item(),
-                                  task_losses["gender"].item(),
-                                  task_losses["communal"].item()))
+                                  *(task_losses[t].item() for t in TASKS)))
             step += 1
         if dev is not None:
             try:

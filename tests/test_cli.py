@@ -162,6 +162,20 @@ def test_pretrain_without_out_stops_before_training(capsys, monkeypatch):
     assert "--out" in err
 
 
+@pytest.mark.parametrize("argv, file_values", [
+    (["train", "--data", TRAIN_TSV, *FAST, "--seed", "-1"], {}),
+    (["train", "--data", TRAIN_TSV, *FAST, "--balance", "--seed", "-1"], {}),
+    (["pretrain", "--corpus", CORPUS_TXT, "--steps", "3", "--seed", "-1"], {}),
+    (["train", "--data", TRAIN_TSV, *FAST], {"seed": -1}),
+], ids=["train", "train-balance", "pretrain", "config-file"])
+def test_negative_seed_is_a_config_error_naming_it(tmp_path, capsys, argv, file_values):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_values))
+    code, _, err = run(capsys, *argv, "--config", str(config), "--out", str(tmp_path / "run"))
+    assert code == 2
+    assert err == "error: seed must be nonnegative, got -1\n"
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergent_run_exits_4(tmp_path, capsys):

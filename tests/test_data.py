@@ -178,6 +178,18 @@ def test_distribution_counts_match_a_published_style_table():
     assert (table.ngen, table.gen) == (3006, 203)
     assert (table.ncom, table.com) == (2967, 242)
     assert table.total == 3209
+    assert table.to_table() == (
+        "NAG       1258\n"
+        "CAG       1495\n"
+        "OAG        456\n"
+        "NGEN      3006\n"
+        "GEN        203\n"
+        "NCOM      2967\n"
+        "COM        242\n"
+        "total     3209"
+    )
+    assert table.to_json() == ('{"CAG":1495,"COM":242,"GEN":203,"NAG":1258,'
+                               '"NCOM":2967,"NGEN":3006,"OAG":456,"total":3209}')
 
 
 def test_distribution_of_empty_dataset_is_all_zero():

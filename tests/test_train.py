@@ -125,6 +125,10 @@ def test_train_config_rejects_bad_values():
         cfg(task_loss_weights=(1, -1, 1))
     with pytest.raises(ConfigError):
         cfg(task_loss_weights=(1, 1))
+    with pytest.raises(ConfigError, match="seed"):
+        cfg(seed=-1)
+    with pytest.raises(ConfigError, match="seed"):
+        PretrainSchedule(seed=-1)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
