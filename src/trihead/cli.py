@@ -175,9 +175,13 @@ def cmd_train(args) -> int:
                 f"{cfg.encoder}: --encoder wants an encoder-only checkpoint, "
                 f"got kind {warm.kind!r}"
             )
-        # the pretrained shape and vocabulary carry over; dropout is this run's
+        warm_entries = warm.emoji_map.entries if warm.emoji_map is not None else {}
+        if cfg.emoji_map and emoji_map.entries != warm_entries:
+            raise ConfigError(f"--emoji-map {cfg.emoji_map} differs from the emoji map "
+                              f"--encoder {cfg.encoder} was pretrained under")
+        # the pretrained shape, vocabulary and emoji map carry over; dropout is this run's
         config = dataclasses.replace(warm.config, dropout_p=cfg.dropout_p)
-        vocab, pretrained = warm.vocab, warm.params
+        vocab, emoji_map, pretrained = warm.vocab, warm.emoji_map, warm.params
     else:
         texts = [normalize(ex.text, emoji_map=emoji_map) for ex in dataset]
         vocab = build_vocab(texts, target_size=cfg.vocab_target_size)
@@ -185,15 +189,16 @@ def cmd_train(args) -> int:
 
     # built before balance, which would fail on a seed TrainConfig rejects
     train_config = _library_config(TrainConfig, cfg)
+    out = Path(cfg.out) if cfg.out else None
+    if out:  # made before the run, so an --out that cannot be made fails at once
+        out.mkdir(parents=True, exist_ok=True)
     if cfg.balance:
         dataset = balance(dataset, seed=cfg.seed)
 
     result = train(dataset, train_config, config, vocab, dev=dev,
                    emoji_map=emoji_map, pretrained=pretrained)
 
-    if cfg.out:
-        out = Path(cfg.out)
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
         save_checkpoint(result.checkpoint, out / "model.ckpt")
         (out / "trace.csv").write_text(trace_to_csv(result.trace),
                                        encoding="utf-8")
@@ -266,14 +271,12 @@ def cmd_pretrain(args) -> int:
     vocab = build_vocab(sentences, target_size=cfg.vocab_target_size)
     config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
     schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
+    out.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out fails at once
     params, losses = pretrain_mlm(sentences, vocab, config, schedule)
 
-    out.mkdir(parents=True, exist_ok=True)
     meta = {"seed": cfg.seed, "steps": schedule.steps,
             "initial_loss": losses[0], "final_loss": losses[-1]}
-    if emoji_map is not None:
-        meta["emoji_map"] = {k: v for k, v in emoji_map.entries.items()}
-    checkpoint = Checkpoint(kind="encoder", config=config, vocab=vocab,
+    checkpoint = Checkpoint(kind="encoder", config=config, vocab=vocab, emoji_map=emoji_map,
                             pooler_kind="none", params=params, meta=meta)
     save_checkpoint(checkpoint, out / "encoder.ckpt")
     trace = "step,loss\n" + "".join(f"{i},{repr(v)}\n"
@@ -323,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pooler", choices=POOLER_KINDS, default=None)
     p.add_argument("--encoder", default=None,
                    help="warm-start from a pretrained encoder checkpoint "
-                        "(its vocabulary and shape take over)")
+                        "(its vocabulary, shape and emoji map take over)")
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
     p.add_argument("--base-lr", dest="base_lr", type=float, default=None)

@@ -192,6 +192,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
                             "only float32 checkpoints are written")
         if not np.isfinite(t.data).all():
             raise DataError(f"checkpoint parameter {name!r} contains NaN or Inf")
+    emoji_map = checkpoint.emoji_map.entries if checkpoint.emoji_map is not None else {}
     header = {
         "kind": checkpoint.kind,
         "encoder_config": asdict(checkpoint.config),
@@ -199,7 +200,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "pooler": checkpoint.pooler_kind,
         "params": [{"name": n, "shape": list(t.shape)}
                    for n, t in checkpoint.params.items()],
-        "meta": checkpoint.meta,
+        "meta": {**checkpoint.meta, "emoji_map": emoji_map},
     }
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     # written beside the target and renamed over it, so a write that fails
@@ -303,8 +304,8 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         config = EncoderConfig(**header["encoder_config"])
         vocab = Vocab(header["vocab"])
-        if "emoji_map" in header["meta"]:
-            EmojiMap(header["meta"]["emoji_map"])
+        entries = header["meta"].pop("emoji_map", None)
+        emoji_map = EmojiMap(entries) if entries else None
     except (TypeError, ValueError) as e:
         raise CheckpointFormatError(f"{path}: invalid header contents: {e}") from None
     if config.vocab_size != vocab.size:
@@ -357,5 +358,5 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointFormatError(
             f"{path}: {len(raw) - offset} trailing bytes after parameter data"
         )
-    return Checkpoint(kind=kind, config=config, vocab=vocab, pooler_kind=pooler,
-                      params=params, meta=header["meta"])
+    return Checkpoint(kind=kind, config=config, vocab=vocab, emoji_map=emoji_map,
+                      pooler_kind=pooler, params=params, meta=header["meta"])

@@ -76,11 +76,12 @@ def logits_for(pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return linear(pooled, w, b)
 
 
-def predict_labels(probs: dict) -> list:
-    """Argmax per task, ties to the lowest class index; returns a list of
+def predict_labels(logits: dict) -> list:
+    """Argmax per task over its logits (or its probabilities: softmax keeps
+    the order), ties to the lowest class index; returns a list of
     (aggression, gender, communal) label-string triples."""
-    n = probs[TASKS[0]].shape[0]
-    picks = {t: probs[t].data.argmax(axis=-1) for t in TASKS}
+    n = logits[TASKS[0]].shape[0]
+    picks = {t: logits[t].data.argmax(axis=-1) for t in TASKS}
     out = []
     for i in range(n):
         out.append(tuple(TASK_LABELS[t][int(picks[t][i])] for t in TASKS))

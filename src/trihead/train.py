@@ -70,9 +70,10 @@ class TrainConfig:
 
 @dataclass
 class Checkpoint:
-    """Everything prediction needs: config, vocabulary, parameters, the
-    pooler kind, and run metadata. kind is 'model' for a full classifier,
-    'encoder' for a pretraining-only parameter set."""
+    """Everything prediction needs: config, vocabulary and the emoji map
+    its texts were normalized under (None: every emoji is dropped),
+    parameters, the pooler kind, and run metadata. kind is 'model' for a
+    full classifier, 'encoder' for a pretraining-only parameter set."""
 
     kind: str
     config: EncoderConfig
@@ -80,6 +81,7 @@ class Checkpoint:
     pooler_kind: str
     params: dict
     meta: dict = field(default_factory=dict)
+    emoji_map: EmojiMap | None = None
 
 
 # one training step: its lr, the weighted loss, then each task's own loss
@@ -273,9 +275,8 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
         "pooler": config.pooler,
         "best_epoch": best_epoch,
         "final_dev_overall_micro_f1": best[0] if best is not None else None,
-        "emoji_map": dict(emoji_map.entries) if emoji_map is not None else {},
     }
-    checkpoint = Checkpoint(kind="model", config=encoder, vocab=vocab,
+    checkpoint = Checkpoint(kind="model", config=encoder, vocab=vocab, emoji_map=emoji_map,
                             pooler_kind=config.pooler, params=final_params, meta=meta)
     return TrainResult(checkpoint=checkpoint, trace=trace,
                        dev_history=dev_history, best_epoch=best_epoch)
@@ -317,10 +318,7 @@ def predict(checkpoint: Checkpoint, texts) -> list:
     texts = list(texts)
     if not texts:
         return []
-    emoji_map = None
-    if checkpoint.meta.get("emoji_map"):
-        emoji_map = EmojiMap(checkpoint.meta["emoji_map"])
-    encoded = _encode(texts, checkpoint.vocab, checkpoint.config, emoji_map)
+    encoded = _encode(texts, checkpoint.vocab, checkpoint.config, checkpoint.emoji_map)
     try:
         triples = _predict_encoded(checkpoint.params, checkpoint.config,
                                    checkpoint.pooler_kind, encoded)

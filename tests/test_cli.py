@@ -24,7 +24,7 @@ from trihead.cli import _load_run_config, main
 from trihead.data import load_checkpoint, load_dataset, save_checkpoint
 from trihead.encoder import EncoderConfig
 from trihead.optim import clip_global_norm
-from trihead.textpipe import build_vocab
+from trihead.textpipe import EmojiMap, build_vocab
 from trihead.train import Checkpoint, init_model_params
 
 TRAIN_TSV = str(asset_path("synth_train.tsv"))
@@ -160,6 +160,23 @@ def test_pretrain_without_out_stops_before_training(capsys, monkeypatch):
     code, _, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "3")
     assert code == 2
     assert "--out" in err
+
+
+@pytest.mark.parametrize("command, argv, run_name", [
+    ("train", ["--data", TRAIN_TSV, *FAST], "train"),
+    ("pretrain", ["--corpus", CORPUS_TXT, "--steps", "3"], "pretrain_mlm"),
+], ids=["train", "pretrain"])
+def test_out_that_cannot_be_made_stops_before_training(tmp_path, capsys, monkeypatch,
+                                                       command, argv, run_name):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{run_name} ran before --out was made")
+
+    monkeypatch.setattr(importlib.import_module("trihead.cli"), run_name, must_not_run)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, command, *argv, "--out", str(blocker / "x"))
+    assert code == 3
+    assert str(blocker / "x") in err
 
 
 @pytest.mark.parametrize("argv, file_values", [
@@ -475,7 +492,8 @@ def tiny_model(tmp_path_factory):
     save_checkpoint(Checkpoint(kind="model", config=config, vocab=vocab,
                                pooler_kind="attention",
                                params=init_model_params(config, "attention", 0),
-                               meta={"seed": 0, "emoji_map": {"\U0001F600": "hasi"}}),
+                               meta={"seed": 0},
+                               emoji_map=EmojiMap({"\U0001F600": "hasi"})),
                     root / "model.ckpt")
     data = root / "data.tsv"
     data.write_text(HEADER + "\n" + "".join(f"r{i}\t{t}\tNAG\tNGEN\tNCOM\n"
@@ -781,6 +799,51 @@ def test_warm_start_records_the_dropout_of_the_run(tmp_path, capsys):
         assert run(capsys, "train", "--data", TRAIN_TSV, "--encoder", str(pre / "encoder.ckpt"),
                    "--out", str(out), "--epochs", "1", *given)[0] == 0
         assert load_checkpoint(out / "model.ckpt").config.dropout_p == want
+
+
+@pytest.fixture(scope="module")
+def mapped_encoder(tmp_path_factory):
+    """An encoder pretrained under a one-entry emoji map, and that map's file."""
+    root = tmp_path_factory.mktemp("mapped")
+    emoji_map = root / "emoji.tsv"
+    emoji_map.write_text("\U0001F600\thasi\n", encoding="utf-8")
+    code, _ = exit_code_in(root, "pretrain", "--corpus", CORPUS_TXT, "--out", "pre",
+                           "--steps", "3", "--d-model", "16", "--n-heads", "2",
+                           "--d-ff", "32", "--max-len", "12", "--emoji-map", str(emoji_map))
+    assert code == 0
+    return root / "pre" / "encoder.ckpt", emoji_map
+
+
+def test_warm_start_inherits_the_encoders_emoji_map(tmp_path, capsys, mapped_encoder):
+    encoder, _ = mapped_encoder
+    out = tmp_path / "run"
+    assert run(capsys, "train", "--data", TRAIN_TSV, "--encoder", str(encoder),
+               "--out", str(out), "--epochs", "1")[0] == 0
+    model = load_checkpoint(out / "model.ckpt")
+    assert model.emoji_map.entries == load_checkpoint(encoder).emoji_map.entries
+
+
+@pytest.mark.parametrize("how, words", [
+    ("flag", "hashi"), ("config-file", "hashi"), ("flag", "hasi"),
+], ids=["different-flag", "different-config-file", "same-flag"])
+def test_warm_start_emoji_map_must_match_the_encoders(tmp_path, capsys, mapped_encoder,
+                                                       how, words):
+    encoder, _ = mapped_encoder
+    given = tmp_path / "emoji.tsv"
+    given.write_text(f"\U0001F600\t{words}\n", encoding="utf-8")
+    if how == "flag":
+        extra = ["--emoji-map", str(given)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({"emoji_map": str(given)}))
+        extra = ["--config", str(config)]
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--encoder", str(encoder),
+                       "--out", str(tmp_path / "run"), "--epochs", "1", *extra)
+    if words == "hasi":
+        assert code == 0
+    else:
+        assert code == 2
+        assert "--emoji-map" in err and str(given) in err and str(encoder) in err
 
 
 def test_warm_start_rejects_full_model_checkpoint(tmp_path, capsys):

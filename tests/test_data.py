@@ -22,7 +22,7 @@ from trihead.data import (
 from trihead.encoder import EncoderConfig
 from trihead.errors import CheckpointFormatError, DataError
 from trihead.metrics import TriLabel
-from trihead.textpipe import Vocab, build_vocab
+from trihead.textpipe import EmojiMap, Vocab, build_vocab
 from trihead.train import Checkpoint, init_model_params
 
 HEADER = "id\ttext\taggression\tgender\tcommunal"
@@ -240,6 +240,25 @@ def test_checkpoint_roundtrip_is_bitwise(tmp_path):
     for name in ck.params:
         assert np.array_equal(back.params[name].data, ck.params[name].data), name
         assert back.params[name].data.dtype == np.float32
+
+
+def test_checkpoint_round_trip_carries_the_emoji_map(tmp_path):
+    mapped = small_checkpoint()
+    mapped.emoji_map = EmojiMap({"\U0001F600": "hasi"})
+    save_checkpoint(mapped, tmp_path / "mapped.ckpt")
+    save_checkpoint(small_checkpoint(), tmp_path / "plain.ckpt")
+    loaded = {
+        "mapped": load_checkpoint(tmp_path / "mapped.ckpt"),
+        "plain": load_checkpoint(tmp_path / "plain.ckpt"),
+        # as map-less checkpoints were once written: no emoji_map key at all
+        "no-key": load_checkpoint(corrupt(tmp_path, rewrite_header(
+            lambda h: h["meta"].pop("emoji_map")))),
+    }
+    assert loaded["mapped"].emoji_map.entries == mapped.emoji_map.entries
+    assert loaded["plain"].emoji_map is None
+    assert loaded["no-key"].emoji_map is None
+    for name, back in loaded.items():
+        assert back.meta == {"seed": 0, "epochs": 0}, name
 
 
 def test_checkpoint_bytes_are_reproducible(tmp_path):
