@@ -111,6 +111,12 @@ def _library_config(cls, cfg: RunConfig, keys=None, **given):
 
 def _load_run_config(config_path, flag_values: dict) -> RunConfig:
     """Defaults, then config-file values, then explicitly-passed flags."""
+    return RunConfig(**_given_values(config_path, flag_values))
+
+
+def _given_values(config_path, flag_values: dict) -> dict:
+    """The config keys given in the file or as flags, with their values;
+    a flag wins over the file."""
     merged: dict = {}
     if config_path is not None:
         try:
@@ -134,7 +140,7 @@ def _load_run_config(config_path, flag_values: dict) -> RunConfig:
         merged.update(file_values)
     merged.update({k: v for k, v in flag_values.items()
                    if k in _CONFIG_KEYS and v is not None})
-    return RunConfig(**merged)
+    return merged
 
 
 def _require(cfg: RunConfig, field: str, flag: str) -> str:
@@ -161,8 +167,22 @@ def _load_emoji_map(cfg: RunConfig):
 # subcommands
 
 
+def _check_warm_shape(given: dict, warm, path) -> None:
+    """A shape key or vocab_target_size given for a warm start must match
+    the encoder it starts from, whose shape and vocabulary take over."""
+    have = {key: (key, getattr(warm.config, key))
+            for key in ("d_model", "n_layers", "n_heads", "d_ff", "max_len")}
+    have["vocab_target_size"] = ("vocabulary size", warm.vocab.size)
+    for key, (what, value) in have.items():
+        if key in given and given[key] != value:
+            flag = "--" + key.replace("_", "-")
+            raise ConfigError(f"{flag} {given[key]} differs from the {what} {value} "
+                              f"--encoder {path} was pretrained with")
+
+
 def cmd_train(args) -> int:
-    cfg = _load_run_config(args.config, vars(args))
+    given = _given_values(args.config, vars(args))
+    cfg = RunConfig(**given)
     dataset = load_dataset(_require(cfg, "data", "--data"))
     dev = load_dataset(cfg.dev) if cfg.dev else None
     emoji_map = _load_emoji_map(cfg)
@@ -175,6 +195,7 @@ def cmd_train(args) -> int:
                 f"{cfg.encoder}: --encoder wants an encoder-only checkpoint, "
                 f"got kind {warm.kind!r}"
             )
+        _check_warm_shape(given, warm, cfg.encoder)
         warm_entries = warm.emoji_map.entries if warm.emoji_map is not None else {}
         if cfg.emoji_map and emoji_map.entries != warm_entries:
             raise ConfigError(f"--emoji-map {cfg.emoji_map} differs from the emoji map "

@@ -147,12 +147,28 @@ def _attention(x, mask_bias, params, prefix, config):
     return linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
+class _FullWidthDraws:
+    """The rng a dropout over B×L×d activations sees: each draw is made at
+    B×max_len×d and cut to the first L positions."""
+
+    def __init__(self, rng, max_len: int):
+        self._rng, self._max_len = rng, max_len
+
+    def random(self, shape):
+        b, width, d = shape
+        return self._rng.random((b, self._max_len, d))[:, :width]
+
+
 def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
                  mode: str = "eval", rng=None):
-    """Run the stack; returns H of shape B×L×d.
+    """Run the stack; returns H of shape B×L×d, for any L up to max_len.
 
     Padded key positions get a large negative score bias, so unmasked
     positions never attend to padding. Dropout fires only in train mode.
+    Its three masks are drawn at B×max_len×d and cut to the batch's L, so
+    the rng ends in the same state, and every position keeps the same
+    mask entries, whether the batch is cut to its longest row or padded
+    to max_len.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -165,6 +181,8 @@ def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
     training = mode == "train"
     if training and config.dropout_p > 0.0 and rng is None:
         raise ConfigError("train-mode encode_batch needs an rng for dropout")
+    if training and rng is not None:
+        rng = _FullWidthDraws(rng, config.max_len)
 
     pos = embedding_lookup(params["pos_emb"], np.arange(l))
     x = add(embedding_lookup(params["tok_emb"], ids), pos)
@@ -251,8 +269,8 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
     keep = np.flatnonzero(maskable.any(axis=1))
     if keep.size == 0:
         raise DataError("pretrain_mlm: corpus has no maskable tokens")
-    all_ids = encoded.token_ids[keep]
-    all_mask = encoded.attention_mask[keep]
+    encoded = encoded.cut(keep)
+    n = len(keep)
 
     root = np.random.SeedSequence(schedule.seed)
     ss_init, ss_steps = root.spawn(2)
@@ -262,14 +280,13 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
 
     losses = []
     for step in range(schedule.steps):
-        pick = rng.integers(0, len(all_ids), size=min(schedule.batch_size, len(all_ids)))
-        ids = all_ids[pick]
-        mask = all_mask[pick]
+        # cut before masking, so the flat positions index the cut width
+        batch = encoded.cut(rng.integers(0, n, size=min(schedule.batch_size, n)))
         # every kept row has a candidate, so positions is never empty
         corrupted, positions, targets = _mask_tokens(
-            ids, mask, schedule.mask_rate, config.vocab_size, rng
+            batch.token_ids, batch.attention_mask, schedule.mask_rate, config.vocab_size, rng
         )
-        batch = EncodedBatch(token_ids=corrupted, attention_mask=mask)
+        batch = EncodedBatch(token_ids=corrupted, attention_mask=batch.attention_mask)
         try:
             h = encode_batch(batch, params, config, mode="train", rng=rng)
             b, l, d = h.shape

@@ -42,8 +42,22 @@ _EMOJI_RANGES = (
 _EMOJI_RE = re.compile(f"[{_EMOJI_RANGES}]+")
 
 
+class _PunctuationTable(dict):
+    """str.translate table deleting every Unicode punctuation code point
+    (category P*). Filled lazily: a code point's category is looked up the
+    first time it is seen, then cached as None (delete) or itself (keep)."""
+
+    def __missing__(self, code: int):
+        verdict = None if unicodedata.category(chr(code)).startswith("P") else code
+        self[code] = verdict
+        return verdict
+
+
+_PUNCTUATION = _PunctuationTable()
+
+
 def _strip_punctuation(text: str) -> str:
-    return "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
+    return text.translate(_PUNCTUATION)
 
 
 def read_utf8(path, newline=None) -> str:
@@ -217,6 +231,14 @@ class EncodedBatch:
             raise DataError("every batch row must start with an unmasked [CLS]")
         if np.any(np.diff(mask, axis=1) > 0):
             raise DataError("attention mask must be contiguous from the left")
+
+    def cut(self, rows) -> "EncodedBatch":
+        """The given rows, cut to the longest real row among them: the
+        columns past it are padding in every picked row."""
+        mask = self.attention_mask[rows]
+        width = int(mask.sum(axis=1).max())
+        return EncodedBatch(token_ids=self.token_ids[rows, :width],
+                            attention_mask=mask[:, :width])
 
 
 def batch_encode(texts: Sequence[str], vocab: Vocab, max_len: int) -> EncodedBatch:

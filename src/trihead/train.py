@@ -186,6 +186,11 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     Deterministic: the seed drives init, batch order, and dropout through
     independent streams, so identical (seed, config, data) means identical
     parameters.
+    Each batch is cut to its longest real row (EncodedBatch.cut). Dropout
+    masks are drawn at full max_len width (encode_batch), so the cut moves
+    no random draw; a step's loss and gradients differ from a full-width
+    step's in their last bits at most, because BLAS sums a shorter row in
+    another order.
     """
     dataset = list(dataset)
     if not dataset:
@@ -233,8 +238,7 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
         order = rng_order.permutation(n)
         for start in range(0, n, config.batch_size):
             pick = order[start:start + config.batch_size]
-            batch = EncodedBatch(token_ids=encoded.token_ids[pick],
-                                 attention_mask=encoded.attention_mask[pick])
+            batch = encoded.cut(pick)
             try:
                 logits = forward_logits(params, encoder, config.pooler, batch,
                                         mode="train", rng=rng_drop)
@@ -286,10 +290,11 @@ def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch) -> list
     """Label triples for every row of encoded, in its row order.
 
     Rows run shortest first, in chunks of PREDICT_CHUNK, and each chunk is
-    cut to its longest real row, so the encoder skips the padding a
-    full-width batch would carry. Masked keys weigh exactly zero, so a cut
-    row computes what its full-width row does; only the logits' last bits
-    can move, because BLAS sums a shorter row in another order.
+    cut to its longest real row (EncodedBatch.cut, as training batches
+    are), so the encoder skips the padding a full-width batch would carry.
+    Masked keys weigh exactly zero, so a cut row computes what its
+    full-width row does; only the logits' last bits can move, because BLAS
+    sums a shorter row in another order.
     """
     params = {k: t.detach() for k, t in params.items()}  # forward only: no graph
     lengths = encoded.attention_mask.sum(axis=1)
@@ -297,10 +302,7 @@ def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch) -> list
     triples = [None] * len(order)
     for start in range(0, len(order), PREDICT_CHUNK):
         rows = order[start:start + PREDICT_CHUNK]
-        width = int(lengths[rows[-1]])
-        piece = EncodedBatch(token_ids=encoded.token_ids[rows, :width],
-                             attention_mask=encoded.attention_mask[rows, :width])
-        logits = forward_logits(params, config, pooler_kind, piece, mode="eval")
+        logits = forward_logits(params, config, pooler_kind, encoded.cut(rows), mode="eval")
         # argmax over logits equals argmax over softmax, so the heads'
         # scores go straight to the label picker
         for row, triple in zip(rows, predict_labels(logits)):

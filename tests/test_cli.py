@@ -260,23 +260,33 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
 
-@pytest.mark.parametrize("argv, message, seconds", [
-    (["--d-model", "100000", "--n-heads", "1"],
+@pytest.mark.parametrize("argv, row_tokens, message, seconds", [
+    (["--d-model", "100000", "--n-heads", "1"], None,
      "parameter 'encoder.layer0.attn.wq' of shape (100000, 100000) does not fit in memory",
      60),
-    (["--max-len", "1000000000"], "max_len 1000000000: 64 rows of 1000000000 token ids", 60),
-    # the attention scores of one training batch, as numpy names them
-    (["--max-len", "20000"], "shape (8, 2, 20000, 20000)", 60),
+    (["--max-len", "1000000000"], None,
+     "max_len 1000000000: 64 rows of 1000000000 token ids", 60),
+    # the attention scores of one training batch, as numpy names them; a
+    # batch is cut to its longest row, so the rows fill max_len
+    (["--max-len", "20000"], 20000, "shape (8, 2, 20000, 20000)", 60),
     # every layer is small: the table is sized before any of it is allocated
-    (["--n-layers", "100000000"], "n_layers=100000000", 5),
+    (["--n-layers", "100000000"], None, "n_layers=100000000", 5),
     # the table alone fits: its gradients and AdamW's moments do not
-    (["--n-layers", "9000"], "n_layers=9000", 5),
+    (["--n-layers", "9000"], None, "n_layers=9000", 5),
 ], ids=["d-model", "max-len-ids", "max-len-batch", "n-layers-1e8", "n-layers-9000"])
-def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, message, seconds):
+def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, row_tokens, message,
+                                                 seconds):
+    data = TRAIN_TSV
+    if row_tokens is not None:
+        data = tmp_path / "long.tsv"
+        row = " ".join(["khub"] * row_tokens)
+        data.write_text("\n".join([HEADER, *(f"r{i}\t{row}\tNAG\tNGEN\tNCOM"
+                                             for i in range(8))]) + "\n",
+                        encoding="utf-8")
     # run only under the address-space cap: uncapped, these sizes may
     # take the machine's memory before numpy gives up
     proc = subprocess.run(
-        [sys.executable, "-m", "trihead.cli", "train", "--data", TRAIN_TSV,
+        [sys.executable, "-m", "trihead.cli", "train", "--data", str(data),
          "--out", str(tmp_path / "run"), *argv],
         preexec_fn=cap_address_space, capture_output=True, text=True, timeout=seconds,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
@@ -844,6 +854,35 @@ def test_warm_start_emoji_map_must_match_the_encoders(tmp_path, capsys, mapped_e
     else:
         assert code == 2
         assert "--emoji-map" in err and str(given) in err and str(encoder) in err
+
+
+@pytest.mark.parametrize("key, value, how", [
+    ("d_model", 32, "flag"), ("n_layers", 1, "flag"), ("n_heads", 4, "flag"),
+    ("d_ff", 64, "flag"), ("max_len", 48, "flag"), ("max_len", 48, "config-file"),
+    ("vocab_target_size", 500, "flag"), ("d_model", 16, "flag"),
+], ids=["d-model", "n-layers", "n-heads", "d-ff", "max-len", "max-len-config-file",
+        "vocab-target-size", "same-d-model"])
+def test_warm_start_shape_must_match_the_encoders(tmp_path, capsys, mapped_encoder,
+                                                  key, value, how):
+    # the encoder: d_model 16, 2 layers, 2 heads, d_ff 32, max_len 12
+    encoder, _ = mapped_encoder
+    warm = load_checkpoint(encoder)
+    have = warm.vocab.size if key == "vocab_target_size" else getattr(warm.config, key)
+    flag = "--" + key.replace("_", "-")
+    if how == "flag":
+        extra = [flag, str(value)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        extra = ["--config", str(config)]
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--encoder", str(encoder),
+                       "--out", str(tmp_path / "run"), "--epochs", "1", *extra)
+    if value == have:
+        assert code == 0
+    else:
+        assert code == 2
+        assert f"error: {flag} {value} differs from " in err
+        assert f" {have} --encoder {encoder} " in err
 
 
 def test_warm_start_rejects_full_model_checkpoint(tmp_path, capsys):

@@ -231,6 +231,22 @@ def test_pretrain_trace_is_seed_deterministic():
     assert all(np.array_equal(p1[k].data, p2[k].data) for k in p1)
 
 
+def test_a_cut_pretraining_step_matches_the_full_width_step(step_tap):
+    # the batch this seed draws leaves out the 19-position row, so it is
+    # cut below the corpus's longest row as well as below max_len
+    corpus = [*CORPUS, " ".join(CORPUS)]
+    vocab = build_vocab(corpus, target_size=80)
+    config = EncoderConfig(vocab_size=vocab.size, d_model=64, n_layers=2,
+                           n_heads=2, d_ff=128, max_len=48, dropout_p=0.3)
+
+    def one_step():
+        params, losses = pretrain_mlm(corpus, vocab, config,
+                                      PretrainSchedule(steps=1, batch_size=4, seed=0))
+        return losses, params
+
+    step_tap.check_cut_matches_full_width(one_step, config.max_len)
+
+
 def test_pretrain_rejects_unmaskable_corpus():
     vocab = build_vocab(["a"], target_size=8)
     config = small_config(vocab_size=vocab.size)

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import trihead.textpipe
 from trihead.errors import ConfigError, DataError
 from trihead.metrics import TriLabel
 from trihead.textpipe import (
@@ -87,6 +88,16 @@ def test_normalize_output_is_clean(raw):
     out = normalize(raw)
     assert out == " ".join(out.split())
     assert not any(unicodedata.category(ch).startswith("P") for ch in out)
+
+
+def test_punctuation_table_matches_the_category_rule_on_every_code_point(monkeypatch):
+    # a fresh table, so the module's does not keep 1.1M entries after the test
+    monkeypatch.setattr(trihead.textpipe, "_PUNCTUATION",
+                        trihead.textpipe._PunctuationTable())
+    text = "".join(map(chr, (*range(0xD800), *range(0xE000, 0x110000))))
+    want = "".join(ch for ch in text if not unicodedata.category(ch).startswith("P"))
+    assert trihead.textpipe._strip_punctuation(text) == want
+    assert trihead.textpipe._strip_punctuation(text) == want   # from the filled table
 
 
 def test_normalize_idempotent_with_map():
@@ -262,6 +273,17 @@ def test_batch_encode_equals_stacked_encode():
     assert batch.attention_mask[2].all()  # truncated
     assert batch.attention_mask[1].sum() == 1  # empty text keeps its [CLS]
     assert UNK_ID in batch.token_ids[3]
+
+
+def test_cut_takes_rows_up_to_their_longest_real_one():
+    v = build_vocab(["ami tumi bhalo kharap"], 60)
+    batch = batch_encode(["ami", "ami tumi bhalo", "tumi bhalo kharap ami"], v, max_len=8)
+    rows = np.array([1, 0])
+    cut = batch.cut(rows)
+    assert cut.token_ids.shape == cut.attention_mask.shape == (2, 4)
+    assert np.array_equal(cut.token_ids, batch.token_ids[rows, :4])
+    assert np.array_equal(cut.attention_mask, batch.attention_mask[rows, :4])
+    assert batch.cut(np.arange(3)).token_ids.shape == (3, 5)
 
 
 def test_in_corpus_text_never_needs_unk():

@@ -233,6 +233,22 @@ def test_training_step_graph_has_at_most_72_nodes(monkeypatch):
     assert sizes[0] <= 72
 
 
+def test_a_cut_training_step_matches_the_full_width_step(step_tap):
+    # the CLI's default shape; rows of at most 6 positions in a max_len of 48
+    data = toy_dataset(8, seed=5)
+    config, vocab = toy_init(data, d_model=64, n_layers=2, d_ff=128, max_len=48)
+
+    def two_steps():
+        # zero heads leave every encoder gradient zero at the first step
+        result = train(data, cfg(epochs=2, batch_size=8, base_lr=1e-3, seed=5),
+                       config, vocab)
+        return [row.loss for row in result.trace], result.checkpoint.params
+
+    cut, full = step_tap.check_cut_matches_full_width(two_steps, config.max_len)
+    assert len(cut) == 2
+    assert cut[0] == full[0] == pytest.approx(math.log(3) + 2 * math.log(2))
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergence_is_reported_with_step():
