@@ -216,12 +216,14 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
 
 
 def gelu(x: Tensor) -> Tensor:
-    # exact erf form, as used by the BERT family
-    cdf = 0.5 * (1.0 + erf(x.data * _INV_SQRT2))
-    data = (x.data * cdf).astype(x.dtype, copy=False)
+    # exact erf form, as used by the BERT family; the constants are cast to
+    # x's dtype, since numpy float64 scalars would lift the whole op to float64
+    inv_sqrt2, inv_sqrt2pi = x.dtype.type(_INV_SQRT2), x.dtype.type(_INV_SQRT2PI)
+    cdf = 0.5 * (1.0 + erf(x.data * inv_sqrt2))
+    data = x.data * cdf
 
     def backward(g):
-        pdf = np.exp(-0.5 * x.data * x.data) * _INV_SQRT2PI
+        pdf = np.exp(-0.5 * x.data * x.data) * inv_sqrt2pi
         return (g * (cdf + x.data * pdf),)
 
     return _from_op("gelu", data, (x,), backward)

@@ -1,10 +1,12 @@
 """Autodiff engine: hand-worked oracles, then finite-difference checks."""
 
+import inspect
 import math
 
 import numpy as np
 import pytest
 
+from trihead import autograd
 from trihead.autograd import (
     GradCheckReport,
     Tensor,
@@ -417,3 +419,47 @@ def test_detach_shares_storage():
     y = x.detach()
     assert np.shares_memory(y.data, x.data)
     assert y.dtype == x.dtype and not y.requires_grad
+
+
+# float32 in, float32 out: every op, forward and backward
+
+F32_OPS = {
+    "add": lambda t: add(t((2, 3)), t((3,))),
+    "scale": lambda t: scale(t((2, 3)), 0.5),
+    "matmul": lambda t: matmul(t((2, 3)), t((3, 4))),
+    "linear": lambda t: linear(t((2, 2, 3)), t((3, 4)), t((4,))),
+    "reshape": lambda t: reshape(t((2, 3)), (3, 2)),
+    "transpose": lambda t: transpose(t((2, 3)), (1, 0)),
+    "split_heads": lambda t: split_heads(t((2, 3, 4)), 2),
+    "merge_heads": lambda t: merge_heads(t((2, 2, 3, 2))),
+    "softmax": lambda t: softmax(t((2, 3))),
+    "gelu": lambda t: gelu(t((2, 3))),
+    "layer_norm": lambda t: layer_norm(t((2, 3)), t((3,)), t((3,))),
+    "dropout": lambda t: dropout(t((2, 3)), 0.5, training=True,
+                                 rng=np.random.default_rng(0)),
+    "embedding_lookup": lambda t: embedding_lookup(t((5, 3)), [0, 2, 2]),
+    "cross_entropy": lambda t: cross_entropy(t((2, 3)), [0, 2]),
+}
+
+
+def test_the_dtype_table_lists_every_public_op():
+    ops = {name for name, f in vars(autograd).items()
+           if inspect.isfunction(f) and not name.startswith("_")
+           and "_from_op" in f.__code__.co_names}
+    assert ops == set(F32_OPS)
+
+
+@pytest.mark.parametrize("op", sorted(F32_OPS))
+def test_a_float32_op_keeps_float32_forward_and_backward(op):
+    rng = np.random.default_rng(7)
+
+    def t(shape):
+        return Tensor(rng.normal(size=shape), requires_grad=True)
+
+    out = F32_OPS[op](t)
+    assert out.dtype == np.float32
+    grads = out.node.backward_fn(np.ones_like(out.data))
+    assert len(grads) == len(out.node.inputs)
+    for g, inp in zip(grads, out.node.inputs):
+        assert g.dtype == np.float32, f"{op}: gradient of a {inp.shape} input is {g.dtype}"
+        assert g.shape == inp.shape

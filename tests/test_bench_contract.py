@@ -52,5 +52,7 @@ def test_tracer_patches_a_train_and_a_predict():
     layers, _ = tracing.layer_metrics(tracer, "train")
     assert layers["autograd.nodes_per_step"] > 0
     assert layers["autograd.eval_nodes_per_chunk"] == 0
+    # every gradient the AdamW.step hook reads keeps its parameter's float32
+    assert layers["autograd.grad_dtype_mismatch"] == 0
     assert len(clock.steps) == 2  # 16 rows in batches of 8
     assert len(clock.chunks) == 2  # one dev eval, one predict

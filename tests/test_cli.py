@@ -271,7 +271,7 @@ def cap_address_space():
     (["--max-len", "20000"], 20000, "shape (8, 2, 20000, 20000)", 60),
     # every layer is small: the table is sized before any of it is allocated
     (["--n-layers", "100000000"], None, "n_layers=100000000", 5),
-    # the table alone fits: its gradients and AdamW's moments do not
+    # the table alone fits: its gradients and AdamW's buffers do not
     (["--n-layers", "9000"], None, "n_layers=9000", 5),
 ], ids=["d-model", "max-len-ids", "max-len-batch", "n-layers-1e8", "n-layers-9000"])
 def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, row_tokens, message,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from trihead.autograd import Tensor
-from trihead.optim import AdamW, clip_global_norm
+from trihead.errors import ConfigError
+from trihead.optim import BETA1, BETA2, EPS, WEIGHT_DECAY, AdamW, clip_global_norm
 
 
 def test_clip_scales_down_to_the_budget():
@@ -87,3 +88,80 @@ def test_zero_grad_clears_gradients():
     x.grad = np.ones(2, dtype=np.float32)
     AdamW({"x": x}).zero_grad()
     assert x.grad is None
+
+
+class PerTensorAdamW:
+    """The reference: AdamW as one loop over the table, each tensor with
+    its own moments."""
+
+    def __init__(self, params):
+        self.params = params
+        self.t = 0
+        self._m = {k: np.zeros_like(v.data) for k, v in params.items()}
+        self._v = {k: np.zeros_like(v.data) for k, v in params.items()}
+
+    def step(self, lr):
+        self.t += 1
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
+        for name, p in self.params.items():
+            if not p.requires_grad or p.grad is None:
+                continue
+            g = p.grad
+            m = self._m[name]
+            v = self._v[name]
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= (lr * WEIGHT_DECAY) * p.data
+            mhat = m / bc1
+            vhat = v / bc2
+            p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
+
+
+# live, frozen, live, no gradient, live, live: three runs of live tensors,
+# the middle one past numpy's 8,192-element buffer
+TABLE = [("a", (3, 4), True), ("frozen", (7,), False), ("big", (100, 100), True),
+         ("no_grad", (2, 5), True), ("c", (6,), True), ("d", (2, 2, 3), True)]
+
+
+def test_flat_adamw_matches_the_per_tensor_loop_bit_for_bit():
+    rng = np.random.default_rng(3)
+    init = {name: rng.normal(size=shape).astype(np.float32) for name, shape, _ in TABLE}
+
+    def table():
+        return {name: Tensor(init[name].copy(), requires_grad=live)
+                for name, _, live in TABLE}
+
+    flat_params, ref_params = table(), table()
+    flat, ref = AdamW(flat_params), PerTensorAdamW(ref_params)
+    for name in init:
+        np.testing.assert_array_equal(flat_params[name].data, init[name])
+        assert np.shares_memory(flat_params[name].data, flat._data)
+    for step in range(6):
+        for name, shape, _ in TABLE:
+            # the frozen tensor carries a gradient it must ignore
+            g = None if name == "no_grad" else rng.normal(size=shape).astype(np.float32)
+            flat_params[name].grad, ref_params[name].grad = g, None if g is None else g.copy()
+        lr = 0.05 * (step + 1)
+        flat.step(lr)
+        ref.step(lr)
+    span = {name: slice(lo, hi)
+            for name, lo, hi in zip(flat_params, flat._offsets, flat._offsets[1:])}
+    for name, shape, _ in TABLE:
+        m, v = flat._m[span[name]].reshape(shape), flat._v[span[name]].reshape(shape)
+        assert flat_params[name].data.tobytes() == ref_params[name].data.tobytes(), name
+        assert m.tobytes() == ref._m[name].tobytes(), name
+        assert v.tobytes() == ref._v[name].tobytes(), name
+    for dead in ("frozen", "no_grad"):
+        np.testing.assert_array_equal(flat_params[dead].data, init[dead])  # no decay
+        assert not flat._m[span[dead]].any() and not flat._v[span[dead]].any()
+    assert [run[:2] for run in flat._live_runs()] == [[0, 12], [19, 10019], [10029, 10047]]
+
+
+def test_adamw_rejects_a_table_of_mixed_dtypes():
+    a = Tensor(np.zeros(2), requires_grad=True)
+    b = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
+    with pytest.raises(ConfigError, match=r"one dtype, got \['float32', 'float64'\]"):
+        AdamW({"a": a, "b": b})

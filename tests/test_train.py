@@ -233,6 +233,25 @@ def test_training_step_graph_has_at_most_72_nodes(monkeypatch):
     assert sizes[0] <= 72
 
 
+def test_every_gradient_of_a_training_step_is_float32(monkeypatch):
+    # the CLI's default width, two layers: every op keeps float32, so every
+    # parameter's gradient does too
+    module = importlib.import_module("trihead.train")
+    real, dtypes = module.optimizer_step, {}
+
+    def step_then_read(opt, loss, step, lr):
+        value = real(opt, loss, step, lr)
+        dtypes.update((k, p.grad.dtype) for k, p in opt.params.items() if p.grad is not None)
+        return value
+
+    monkeypatch.setattr(module, "optimizer_step", step_then_read)
+    data = toy_dataset(8)
+    train(data, cfg(epochs=1, batch_size=8),
+          *toy_init(data, d_model=64, n_layers=2, d_ff=128, max_len=48))
+    assert len(dtypes) == 44
+    assert {k: d for k, d in dtypes.items() if d != np.float32} == {}
+
+
 def test_a_cut_training_step_matches_the_full_width_step(step_tap):
     # the CLI's default shape; rows of at most 6 positions in a max_len of 48
     data = toy_dataset(8, seed=5)
