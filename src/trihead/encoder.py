@@ -226,6 +226,8 @@ class PretrainSchedule:
             raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
         if not 0 < self.base_lr < np.inf:
             raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
+        if self.warmup_steps < 0:
+            raise ConfigError("warmup_steps must be nonnegative")
         if self.seed < 0:
             raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 

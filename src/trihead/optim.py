@@ -50,61 +50,49 @@ def clip_global_norm(params: dict) -> float:
 class AdamW:
     """Decoupled weight decay Adam over a name → Tensor parameter table.
 
-    The table's values move into one flat buffer that each Tensor.data then
-    views; m, v and the gathered gradients are flat buffers of the same
-    layout (the foreach idea of PyTorch's AdamW). A step updates each
-    contiguous run of live parameters at once, with the arithmetic of a
-    per-tensor loop. Parameters with requires_grad=False (or no accumulated
-    gradient this step) are left alone and split the runs; decay is applied
-    to every updated parameter. The table must hold one dtype.
+    The table's trainable tensors (requires_grad=True) move into one flat
+    buffer that each of their Tensor.data then views; m, v and the gathered
+    gradients are flat buffers of the same layout (the foreach idea of
+    PyTorch's AdamW), so a step is a few vector ops over the whole buffer,
+    with the arithmetic of a per-tensor loop. Frozen tensors keep their own
+    storage and are never decayed or moved. Every trainable tensor must
+    hold a gradient at each step, and all of them one dtype.
     """
 
     def __init__(self, params: dict):
-        dtypes = {p.data.dtype for p in params.values()}
-        if len(dtypes) != 1:
-            raise ConfigError(f"AdamW: the parameter table must hold one dtype, "
-                              f"got {sorted(str(d) for d in dtypes)}")
-        dtype, = dtypes
         self.params = params
+        self._trainable = {k: p for k, p in params.items() if p.requires_grad}
+        dtypes = {p.data.dtype for p in self._trainable.values()}
+        if len(dtypes) != 1:
+            raise ConfigError(f"AdamW: the trainable tensors must hold one dtype, "
+                              f"got {sorted(str(d) for d in dtypes)}")
         self.t = 0
-        self._offsets = np.cumsum([0, *(p.data.size for p in params.values())]).tolist()
-        self._data = np.empty(self._offsets[-1], dtype=dtype)
-        for p, lo, hi in zip(params.values(), self._offsets, self._offsets[1:]):
-            self._data[lo:hi] = p.data.reshape(-1)
+        self._offsets = np.cumsum([0, *(p.data.size for p in self._trainable.values())]).tolist()
+        self._data = np.concatenate([p.data for p in self._trainable.values()], axis=None)
+        for p, lo, hi in zip(self._trainable.values(), self._offsets, self._offsets[1:]):
             p.data = self._data[lo:hi].reshape(p.data.shape)
         self._grad = np.empty_like(self._data)
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
 
-    def _live_runs(self) -> list:
-        """[lo, hi, gradients] of each maximal run of adjacent parameters
-        that step now."""
-        runs = []
-        for p, lo, hi in zip(self.params.values(), self._offsets, self._offsets[1:]):
-            if not p.requires_grad or p.grad is None:
-                continue
-            if runs and runs[-1][1] == lo:
-                runs[-1][1] = hi
-                runs[-1][2].append(p.grad)
-            else:
-                runs.append([lo, hi, [p.grad]])
-        return runs
-
     def step(self, lr: float) -> None:
+        missing = [k for k, p in self._trainable.items() if p.grad is None]
+        if missing:
+            raise RuntimeError(f"AdamW: no gradient for the trainable tensors {missing}")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        for lo, hi, grads in self._live_runs():
-            g = np.concatenate(grads, axis=None, out=self._grad[lo:hi])
-            m, v, w = self._m[lo:hi], self._v[lo:hi], self._data[lo:hi]
-            m *= BETA1
-            m += (1.0 - BETA1) * g
-            v *= BETA2
-            v += (1.0 - BETA2) * (g * g)
-            w -= (lr * WEIGHT_DECAY) * w
-            mhat = m / bc1
-            vhat = v / bc2
-            w -= lr * mhat / (np.sqrt(vhat) + EPS)
+        g = np.concatenate([p.grad for p in self._trainable.values()], axis=None,
+                           out=self._grad)
+        m, v, w = self._m, self._v, self._data
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        w -= (lr * WEIGHT_DECAY) * w
+        mhat = m / bc1
+        vhat = v / bc2
+        w -= lr * mhat / (np.sqrt(vhat) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

@@ -61,11 +61,12 @@ def _strip_punctuation(text: str) -> str:
 
 
 def read_utf8(path, newline=None) -> str:
-    """The whole file as text; a file that is not UTF-8 is a DataError
-    naming it and the first bad byte."""
+    """The whole file as text, less a leading byte-order mark; a file that
+    is not UTF-8 is a DataError naming it and the first bad byte (counted
+    from the file's start, BOM included, which utf-8-sig would not do)."""
     try:
         with open(path, encoding="utf-8", newline=newline) as fh:
-            return fh.read()
+            return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None
 

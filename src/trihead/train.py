@@ -44,7 +44,8 @@ class TrainConfig:
     seed: int = 42
     pooler: str = "attention"
     task_loss_weights: tuple = (1.0, 1.0, 1.0)
-    # parameter-name prefixes excluded from updates, e.g. ("pooler.",)
+    # parameter-name prefixes excluded from updates, e.g. ("pooler.",); train()
+    # rejects a prefix that matches no parameter and a list that freezes all
     freeze: tuple = ()
 
     def __post_init__(self):
@@ -217,13 +218,21 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
                                   f"{tensor.shape}, expected {params[key].shape}")
             params[key] = Tensor(tensor.data.copy(), requires_grad=True,
                                  dtype=tensor.data.dtype)
-    for name, tensor in params.items():
-        if any(name.startswith(prefix) for prefix in config.freeze):
+    for prefix in config.freeze:
+        frozen = [t for name, t in params.items() if name.startswith(prefix)]
+        if not frozen:
+            raise ConfigError(f"freeze prefix {prefix!r} matches no parameter of the model")
+        for tensor in frozen:
             tensor.requires_grad = False
+    # the classifier never reads the MLM output bias; it rides along,
+    # unchanged, for the checkpoint
+    stepped = {k: t for k, t in params.items() if k != "encoder.mlm_bias"}
+    if not any(t.requires_grad for t in stepped.values()):
+        raise ConfigError(f"freeze {list(config.freeze)} leaves no parameter to train")
 
     rng_order = np.random.default_rng(ss_order)
     rng_drop = np.random.default_rng(ss_drop)
-    opt = AdamW(params)
+    opt = AdamW(stepped)
 
     n = len(dataset)
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size

@@ -132,6 +132,26 @@ def test_non_utf8_file_is_a_data_error_naming_it(tmp_path, capsys, flag, argv, c
     assert f"{bad}: not UTF-8 text" in err
 
 
+def test_config_file_with_a_byte_order_mark_reads_as_without(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text("\ufeff" + json.dumps({"data": TRAIN_TSV, "seed": 7}), encoding="utf-8")
+    code, out, err = run(capsys, "stats", "--config", str(config))
+    assert (code, err) == (0, "")
+    assert out == run(capsys, "stats", "--data", TRAIN_TSV, "--seed", "7")[1]
+
+
+def test_corpus_with_a_byte_order_mark_pretrains_as_without(tmp_path, capsys):
+    marked = tmp_path / "corpus.txt"
+    marked.write_text("\ufeff" + Path(CORPUS_TXT).read_text(encoding="utf-8"), encoding="utf-8")
+    shape = ["--steps", "2", "--d-model", "16", "--n-heads", "2", "--d-ff", "32",
+             "--max-len", "12"]
+    for corpus, out in ((CORPUS_TXT, "plain"), (marked, "marked")):
+        assert run(capsys, "pretrain", "--corpus", str(corpus), "--out", str(tmp_path / out),
+                   *shape)[0] == 0
+    assert ((tmp_path / "marked" / "encoder.ckpt").read_bytes()
+            == (tmp_path / "plain" / "encoder.ckpt").read_bytes())
+
+
 def test_eval_on_empty_dataset_is_a_data_error(tmp_path, capsys):
     out = tmp_path / "run"
     assert run(capsys, "train", "--data", TRAIN_TSV, "--out", str(out),
@@ -191,6 +211,38 @@ def test_negative_seed_is_a_config_error_naming_it(tmp_path, capsys, argv, file_
     code, _, err = run(capsys, *argv, "--config", str(config), "--out", str(tmp_path / "run"))
     assert code == 2
     assert err == "error: seed must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("file_values, message", [
+    ({"freeze": ["nope."]}, "freeze prefix 'nope.' matches no parameter of the model"),
+    ({"freeze": ["pooler."], "pooler": "mean"},
+     "freeze prefix 'pooler.' matches no parameter of the model"),
+    ({"freeze": [""]}, "freeze [''] leaves no parameter to train"),
+], ids=["unmatched", "mean-pooler", "everything"])
+def test_freeze_that_matches_nothing_or_everything_is_a_config_error(
+        tmp_path, capsys, monkeypatch, file_values, message):
+    def must_not_step(*args):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(importlib.import_module("trihead.train"), "optimizer_step",
+                        must_not_step)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps(file_values))
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, *FAST, "--config", str(config),
+                       "--out", str(tmp_path / "run"))
+    assert (code, err) == (2, f"error: {message}\n")
+    assert not (tmp_path / "run" / "model.ckpt").exists()
+
+
+def test_pretrain_rejects_a_negative_warmup_as_train_does(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"warmup_steps": -5}))
+    for argv in (["train", "--data", TRAIN_TSV, *FAST],
+                 ["pretrain", "--corpus", CORPUS_TXT, "--steps", "3"]):
+        code, _, err = run(capsys, *argv, "--config", str(config),
+                           "--out", str(tmp_path / "run"))
+        assert (code, err) == (2, "error: warmup_steps must be nonnegative\n"), argv[0]
+    assert not (tmp_path / "run" / "pretrain_trace.csv").exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

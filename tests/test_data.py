@@ -119,6 +119,23 @@ def test_write_rejects_embedded_tabs(tmp_path):
 # prediction inputs and gold labels
 
 
+BOM = "\ufeff"
+
+
+def test_dataset_with_a_byte_order_mark_loads_as_without(tmp_path):
+    lines = [HEADER, "q1\tki khobor\tNAG\tNGEN\tNCOM"]
+    plain = write(tmp_path, "plain.tsv", lines)
+    marked = write(tmp_path, "marked.tsv", [BOM + lines[0], *lines[1:]])
+    assert load_dataset(marked) == load_dataset(plain)
+    assert load_prediction_input(marked) == [("q1", "ki khobor")]
+
+
+def test_labels_file_with_a_byte_order_mark_loads_as_without(tmp_path):
+    lines = ["id\taggression\tgender\tcommunal", "q1\tCAG\tGEN\tNCOM"]
+    marked = write(tmp_path, "marked.tsv", [BOM + lines[0], *lines[1:]])
+    assert load_labels(marked) == {"q1": TriLabel("CAG", "GEN", "NCOM")}
+
+
 def test_prediction_input_accepts_bare_pairs(tmp_path):
     p = write(tmp_path, "p.tsv", ["id\ttext", "q1\tki khobor", "q2\tbhalo"])
     assert load_prediction_input(p) == [("q1", "ki khobor"), ("q2", "bhalo")]

@@ -120,10 +120,10 @@ class PerTensorAdamW:
             p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
 
 
-# live, frozen, live, no gradient, live, live: three runs of live tensors,
-# the middle one past numpy's 8,192-element buffer
+# live, frozen, live, live, live: the frozen tensor stays out of the flat
+# buffer, and the big one is past numpy's 8,192-element buffer
 TABLE = [("a", (3, 4), True), ("frozen", (7,), False), ("big", (100, 100), True),
-         ("no_grad", (2, 5), True), ("c", (6,), True), ("d", (2, 2, 3), True)]
+         ("c", (6,), True), ("d", (2, 2, 3), True)]
 
 
 def test_flat_adamw_matches_the_per_tensor_loop_bit_for_bit():
@@ -136,28 +136,39 @@ def test_flat_adamw_matches_the_per_tensor_loop_bit_for_bit():
 
     flat_params, ref_params = table(), table()
     flat, ref = AdamW(flat_params), PerTensorAdamW(ref_params)
-    for name in init:
+    for name, _, live in TABLE:
         np.testing.assert_array_equal(flat_params[name].data, init[name])
-        assert np.shares_memory(flat_params[name].data, flat._data)
+        assert np.shares_memory(flat_params[name].data, flat._data) == live, name
+    assert flat._data.size == sum(init[name].size for name, _, live in TABLE if live)
     for step in range(6):
         for name, shape, _ in TABLE:
             # the frozen tensor carries a gradient it must ignore
-            g = None if name == "no_grad" else rng.normal(size=shape).astype(np.float32)
-            flat_params[name].grad, ref_params[name].grad = g, None if g is None else g.copy()
+            g = rng.normal(size=shape).astype(np.float32)
+            flat_params[name].grad, ref_params[name].grad = g, g.copy()
         lr = 0.05 * (step + 1)
         flat.step(lr)
         ref.step(lr)
     span = {name: slice(lo, hi)
-            for name, lo, hi in zip(flat_params, flat._offsets, flat._offsets[1:])}
+            for name, lo, hi in zip(flat._trainable, flat._offsets, flat._offsets[1:])}
     for name, shape, _ in TABLE:
-        m, v = flat._m[span[name]].reshape(shape), flat._v[span[name]].reshape(shape)
         assert flat_params[name].data.tobytes() == ref_params[name].data.tobytes(), name
-        assert m.tobytes() == ref._m[name].tobytes(), name
-        assert v.tobytes() == ref._v[name].tobytes(), name
-    for dead in ("frozen", "no_grad"):
-        np.testing.assert_array_equal(flat_params[dead].data, init[dead])  # no decay
-        assert not flat._m[span[dead]].any() and not flat._v[span[dead]].any()
-    assert [run[:2] for run in flat._live_runs()] == [[0, 12], [19, 10019], [10029, 10047]]
+        if name in span:
+            m, v = flat._m[span[name]].reshape(shape), flat._v[span[name]].reshape(shape)
+            assert m.tobytes() == ref._m[name].tobytes(), name
+            assert v.tobytes() == ref._v[name].tobytes(), name
+    assert list(span) == ["a", "big", "c", "d"]
+    np.testing.assert_array_equal(flat_params["frozen"].data, init["frozen"])  # no decay
+
+
+def test_adamw_names_a_trainable_tensor_without_a_gradient():
+    params = {name: Tensor(np.ones(2, dtype=np.float32), requires_grad=True)
+              for name in ("a", "b", "c")}
+    opt = AdamW(params)
+    params["a"].grad = params["c"].grad = np.ones(2, dtype=np.float32)
+    with pytest.raises(RuntimeError, match=r"no gradient for the trainable tensors \['b'\]"):
+        opt.step(lr=0.1)
+    assert opt.t == 0
+    np.testing.assert_array_equal(params["a"].data, np.ones(2, dtype=np.float32))
 
 
 def test_adamw_rejects_a_table_of_mixed_dtypes():

@@ -126,6 +126,21 @@ def test_emoji_map_from_tsv(tmp_path):
     assert m.entries["\U0001f525"] == "agun"
 
 
+def test_emoji_map_drops_a_leading_byte_order_mark(tmp_path):
+    p = tmp_path / "map.tsv"
+    p.write_text("\ufeff\U0001f600\tkhushi\n", encoding="utf-8")
+    m = EmojiMap.from_tsv(p)
+    assert list(m.entries) == ["\U0001f600"]
+    assert normalize("ami \U0001f600 bhalo", m) == "ami khushi bhalo"
+
+
+def test_a_bad_byte_after_a_byte_order_mark_is_named_at_its_file_offset(tmp_path):
+    p = tmp_path / "map.tsv"
+    p.write_bytes(b"\xef\xbb\xbfcaf\xe9\tsmile\n")
+    with pytest.raises(DataError, match=r"at byte 6\)$"):
+        EmojiMap.from_tsv(p)
+
+
 def test_emoji_map_rejects_wrong_columns(tmp_path):
     p = tmp_path / "map.tsv"
     p.write_text("\U0001f525\tagun\textra\n", encoding="utf-8")

@@ -7,6 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from trihead.autograd import Tensor
 from trihead.data import Example, load_checkpoint, save_checkpoint
 from trihead.encoder import EncoderConfig, PretrainSchedule
 from trihead.errors import (
@@ -129,6 +130,12 @@ def test_train_config_rejects_bad_values():
         cfg(seed=-1)
     with pytest.raises(ConfigError, match="seed"):
         PretrainSchedule(seed=-1)
+
+
+def test_pretrain_schedule_rejects_a_negative_warmup_as_train_config_does():
+    for make in (cfg, PretrainSchedule):
+        with pytest.raises(ConfigError, match="^warmup_steps must be nonnegative$"):
+            make(warmup_steps=-5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -319,6 +326,37 @@ def test_pretrained_params_shape_mismatch_rejected():
     bad = {"tok_emb": init_model_params(config, "mean", 0)["encoder.pos_emb"]}
     with pytest.raises(ConfigError, match="shape"):
         train(data, cfg(epochs=1), config, vocab, pretrained=bad)
+
+
+def test_a_warm_start_returns_the_encoders_mlm_bias_unchanged():
+    # the classifier never reads the MLM output bias, so the checkpoint
+    # carries the encoder's, byte for byte
+    data = toy_dataset(16)
+    config, vocab = toy_init(data)
+    fresh = init_model_params(config, "attention", seed=123)
+    warm = {k[len("encoder."):]: v for k, v in fresh.items() if k.startswith("encoder.")}
+    bias = np.random.default_rng(1).normal(size=warm["mlm_bias"].shape).astype(np.float32)
+    warm["mlm_bias"] = Tensor(bias, requires_grad=True)
+    result = train(data, cfg(epochs=2, batch_size=8, base_lr=1e-2, seed=6), config, vocab,
+                   dev=toy_dataset(8, seed=2), pretrained=warm)
+    got = result.checkpoint.params["encoder.mlm_bias"]
+    assert got.data.tobytes() == bias.tobytes()
+    assert got.requires_grad
+    assert result.checkpoint.params["encoder.tok_emb"].data.tobytes() != \
+        fresh["encoder.tok_emb"].data.tobytes()
+
+
+@pytest.mark.parametrize("freeze, pooler, message", [
+    (("nope.",), "attention", "freeze prefix 'nope.' matches no parameter of the model"),
+    (("pooler.",), "mean", "freeze prefix 'pooler.' matches no parameter of the model"),
+    (("",), "attention", r"freeze \[''\] leaves no parameter to train"),
+    (("encoder.tok", "encoder.pos", "encoder.layer", "encoder.ln_f", "pooler.", "heads."),
+     "attention", "leaves no parameter to train"),
+], ids=["unmatched", "no-pooler", "empty-prefix", "all-but-mlm-bias"])
+def test_freeze_must_match_a_parameter_and_leave_one_to_train(freeze, pooler, message):
+    data = toy_dataset(8)
+    with pytest.raises(ConfigError, match=message):
+        train(data, cfg(pooler=pooler, freeze=freeze), *toy_init(data))
 
 
 def test_dropout_comes_from_the_encoder_config(tmp_path):
