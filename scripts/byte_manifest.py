@@ -6,6 +6,7 @@ in a fresh temporary directory, and record what each one printed and wrote.
 
 The set, in order: the README's CLI quick start (read from README.md); a
 warm start from its encoder with `encoder.layer0.` and `pooler.` frozen; a
+pretrain whose warmup and mask rate come from its `--config` file; a
 `--pooler mean --emoji-map` train with a dev split, then eval, predict and
 score of its model; `trihead stats` on perfbench/gen.py's seed-4242
 published-scale rows; and the five demos. For each command the manifest
@@ -36,6 +37,7 @@ SYN = "src/trihead/assets"  # the README's $SYN, relative to the run directory
 DEMOS = ("autograd_basics.py", "text_pipeline.py", "pooling_comparison.py",
          "train_and_score.py", "mlm_pretraining.py")
 FROZEN = {"freeze": ["encoder.layer0.", "pooler."]}
+PRETRAIN_CONFIG = {"warmup_steps": 10, "pretrain_mask_rate": 0.25}
 
 
 def readme_cli_quick_start() -> list:
@@ -55,6 +57,10 @@ def command_set() -> list:
                   ["trihead", "train", "--data", f"{SYN}/synth_train.tsv",
                    "--encoder", "pre/encoder.ckpt", "--config", "frozen.json",
                    "--out", "run-frozen", "--epochs", "3", "--base-lr", "2e-3"]))
+    runs.append(("pretrain config",
+                  ["trihead", "pretrain", "--corpus", f"{SYN}/synth_corpus.txt",
+                   "--config", "pretrain.json", "--out", "pre-config", "--steps", "60",
+                   "--d-model", "32", "--max-len", "16"]))
     runs += [
         ("mean train", ["trihead", "train", "--data", f"{SYN}/synth_train.tsv",
                         "--dev", f"{SYN}/synth_dev.tsv", "--pooler", "mean",
@@ -83,6 +89,7 @@ def prepare(work: Path) -> None:
     """The inputs every command finds in the run directory."""
     shutil.copytree(ROOT / SYN, work / SYN, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
     (work / "frozen.json").write_text(json.dumps(FROZEN), encoding="utf-8")
+    (work / "pretrain.json").write_text(json.dumps(PRETRAIN_CONFIG), encoding="utf-8")
     spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)

@@ -18,6 +18,7 @@ import dataclasses
 import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .data import (
     Example,
@@ -44,40 +45,36 @@ from .train import (
 )
 
 
-# Config keys the PretrainSchedule fields go by; its warmup_steps and seed
-# share the fine-tuning keys.
+# Config keys the PretrainSchedule fields go by where they differ from the
+# field names; its warmup_steps and seed go by theirs.
 _PRETRAIN_KEYS = {"steps": "pretrain_steps", "batch_size": "pretrain_batch_size",
                   "base_lr": "pretrain_lr", "mask_rate": "pretrain_mask_rate"}
 
 
 def _field_defaults(cls, keys=None) -> dict:
+    """Field defaults under their config keys; the vocabulary sets vocab_size."""
     keys = keys or {}
-    return {keys.get(f.name, f.name): f.default for f in dataclasses.fields(cls)}
+    return {keys.get(f.name, f.name): f.default for f in dataclasses.fields(cls)
+            if f.name != "vocab_size"}
 
 
-# Union of everything a command can be told, flat on purpose so the JSON
-# file stays a single skimmable object. Each library config owns its
-# defaults; on a key PretrainSchedule shares with TrainConfig (seed,
-# warmup_steps) the fine-tuning default wins, so pretrain without --seed
-# uses TrainConfig's seed. Only the keys at the end have defaults of
-# their own.
-_DEFAULTS = {
-    **_field_defaults(PretrainSchedule, _PRETRAIN_KEYS),
-    **_field_defaults(EncoderConfig),
-    **_field_defaults(TrainConfig),
-    "epochs": 5,
-    "vocab_target_size": 200,
-    "balance": False,
-    "data": None, "dev": None, "emoji_map": None, "encoder": None, "out": None,
+# The config keys each command reads, with their defaults: flat on purpose,
+# so the JSON file stays a single skimmable object. Each library config owns
+# its defaults; only epochs, vocab_target_size, balance and the paths are the
+# CLI's own. A file key its command does not read is rejected.
+_SEED = {"seed": TrainConfig.seed}
+# what both commands that build an encoder read
+_ENCODER_KEYS = {**_field_defaults(EncoderConfig), "vocab_target_size": 200,
+                 "data": None, "emoji_map": None, "out": None}
+_COMMAND_KEYS = {
+    "train": {**_ENCODER_KEYS, **_field_defaults(TrainConfig), "epochs": 5, "balance": False,
+              "dev": None, "encoder": None},
+    "pretrain": {**_ENCODER_KEYS, **_field_defaults(PretrainSchedule, _PRETRAIN_KEYS)},
+    "eval": {"data": None, **_SEED},
+    "stats": {"data": None, **_SEED},
+    "predict": _SEED,
+    "score": _SEED,
 }
-del _DEFAULTS["vocab_size"]
-
-RunConfig = dataclasses.make_dataclass(
-    "RunConfig",
-    [(k, object, dataclasses.field(default=v)) for k, v in _DEFAULTS.items()],
-)
-
-_CONFIG_KEYS = set(_DEFAULTS)
 
 
 def _is_number(value) -> bool:
@@ -101,7 +98,7 @@ _LIST_TYPES = {
 }
 
 
-def _library_config(cls, cfg: RunConfig, keys=None, **given):
+def _library_config(cls, cfg: SimpleNamespace, keys=None, **given):
     """cls built from the run config's values for its fields."""
     keys = keys or {}
     values = {f.name: getattr(cfg, keys.get(f.name, f.name))
@@ -109,41 +106,45 @@ def _library_config(cls, cfg: RunConfig, keys=None, **given):
     return cls(**values, **given)
 
 
-def _load_run_config(config_path, flag_values: dict) -> RunConfig:
-    """Defaults, then config-file values, then explicitly-passed flags."""
-    return RunConfig(**_given_values(config_path, flag_values))
+def _load_run_config(args, given=None) -> SimpleNamespace:
+    """The command's defaults, then config-file values, then explicitly
+    passed flags (or the given values, when passed)."""
+    if given is None:
+        given = _given_values(args)
+    return SimpleNamespace(**{**_COMMAND_KEYS[args.command], **given})
 
 
-def _given_values(config_path, flag_values: dict) -> dict:
+def _given_values(args) -> dict:
     """The config keys given in the file or as flags, with their values;
     a flag wins over the file."""
+    table = _COMMAND_KEYS[args.command]
     merged: dict = {}
-    if config_path is not None:
+    if args.config is not None:
         try:
-            raw = read_utf8(config_path)
+            raw = read_utf8(args.config)
         except OSError as e:
             raise DataError(f"cannot read config file: {e}") from None
         try:
             file_values = json.loads(raw)
         except json.JSONDecodeError as e:
-            raise ConfigError(f"{config_path}: not valid JSON: {e}") from None
+            raise ConfigError(f"{args.config}: not valid JSON: {e}") from None
         if not isinstance(file_values, dict):
-            raise ConfigError(f"{config_path}: config must be a JSON object")
-        unknown = sorted(set(file_values) - _CONFIG_KEYS)
-        if unknown:
-            raise ConfigError(f"{config_path}: unknown config keys {unknown}")
+            raise ConfigError(f"{args.config}: config must be a JSON object")
+        unread = sorted(set(file_values) - set(table))
+        if unread:
+            raise ConfigError(f"{args.config}: trihead {args.command} reads no "
+                              f"config keys {unread}")
         for key, value in file_values.items():
-            want, ok = _LIST_TYPES.get(key) or _FILE_TYPES[type(_DEFAULTS[key])]
+            want, ok = _LIST_TYPES.get(key) or _FILE_TYPES[type(table[key])]
             if not ok(value):
-                raise ConfigError(f"{config_path}: config key {key!r} must be {want}, "
+                raise ConfigError(f"{args.config}: config key {key!r} must be {want}, "
                                   f"got {json.dumps(value)}")
         merged.update(file_values)
-    merged.update({k: v for k, v in flag_values.items()
-                   if k in _CONFIG_KEYS and v is not None})
+    merged.update({k: v for k, v in vars(args).items() if k in table and v is not None})
     return merged
 
 
-def _require(cfg: RunConfig, field: str, flag: str) -> str:
+def _require(cfg: SimpleNamespace, field: str, flag: str) -> str:
     value = getattr(cfg, field)
     if value is None:
         raise ConfigError(f"missing {flag} (flag or config key {field!r})")
@@ -159,7 +160,7 @@ def _print_report(report, seed: int) -> None:
     _print_seeded(seed, report.to_table(), report.to_json())
 
 
-def _load_emoji_map(cfg: RunConfig):
+def _load_emoji_map(cfg: SimpleNamespace):
     return EmojiMap.from_tsv(cfg.emoji_map) if cfg.emoji_map else None
 
 
@@ -181,8 +182,8 @@ def _check_warm_shape(given: dict, warm, path) -> None:
 
 
 def cmd_train(args) -> int:
-    given = _given_values(args.config, vars(args))
-    cfg = RunConfig(**given)
+    given = _given_values(args)
+    cfg = _load_run_config(args, given)
     dataset = load_dataset(_require(cfg, "data", "--data"))
     dev = load_dataset(cfg.dev) if cfg.dev else None
     emoji_map = _load_emoji_map(cfg)
@@ -233,7 +234,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    cfg = _load_run_config(args.config, vars(args))
+    cfg = _load_run_config(args)
     checkpoint = load_checkpoint(args.model)
     dataset = load_dataset(_require(cfg, "data", "--data"))
     _print_report(evaluate(checkpoint, dataset), cfg.seed)
@@ -241,7 +242,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    cfg = _load_run_config(args.config, vars(args))
+    cfg = _load_run_config(args)
     checkpoint = load_checkpoint(args.model)
     pairs = load_prediction_input(args.input)
     labels = predict(checkpoint, [text for _, text in pairs])
@@ -253,7 +254,7 @@ def cmd_predict(args) -> int:
 
 
 def cmd_score(args) -> int:
-    cfg = _load_run_config(args.config, vars(args))
+    cfg = _load_run_config(args)
     gold = load_labels(args.gold)
     pred = load_labels(args.pred)
     for ids, what in (([i for i in gold if i not in pred], "missing predictions for ids"),
@@ -269,13 +270,13 @@ def cmd_score(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    cfg = _load_run_config(args.config, vars(args))
+    cfg = _load_run_config(args)
     _print_report(class_distribution(load_dataset(_require(cfg, "data", "--data"))), cfg.seed)
     return 0
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _load_run_config(args.config, vars(args))
+    cfg = _load_run_config(args)
     corpus_path = _require(cfg, "data", "--corpus")
     out = Path(_require(cfg, "out", "--out"))
     try:
@@ -317,7 +318,7 @@ def cmd_pretrain(args) -> int:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", default=None,
-                   help="flat JSON file with any RunConfig keys")
+                   help="flat JSON file of config keys this command reads")
     p.add_argument("--seed", type=int, default=None)
 
 

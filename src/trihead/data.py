@@ -132,11 +132,11 @@ def _examples(path, lines: list, allow_empty_text: bool) -> list:
     return examples
 
 
-def load_dataset(path, allow_empty_text: bool = False) -> list:
+def load_dataset(path) -> list:
     """Parse a labeled TSV into Examples; every label is validated against
     its closed set, ids must be unique, and a header-only file is simply an
     empty dataset."""
-    return _examples(path, _read_lines(path)[0], allow_empty_text)
+    return _examples(path, _read_lines(path)[0], allow_empty_text=False)
 
 
 def write_dataset(examples, path) -> None:

@@ -34,7 +34,7 @@ from .autograd import (
     transpose,
 )
 from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
-from .optim import AdamW, lr_at, optimizer_step
+from .optim import AdamW, check_schedule, lr_at, optimizer_step
 from .textpipe import RESERVED, UNK_ID, EncodedBatch, Vocab, batch_encode
 
 NEG_INF = -1e9
@@ -217,19 +217,14 @@ class PretrainSchedule:
     base_lr: float = 1e-3
     warmup_steps: int = 0
     mask_rate: float = 0.15
-    seed: int = 0
+    seed: int = 42
 
     def __post_init__(self):
-        if self.steps < 1 or self.batch_size < 1:
-            raise ConfigError("steps and batch_size must be positive")
+        if self.steps < 1:
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+        check_schedule(self)
         if not 0.0 < self.mask_rate <= 1.0:
             raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
-        if not 0 < self.base_lr < np.inf:
-            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
 
 
 def _mask_tokens(ids, mask, rate, vocab_size, rng):

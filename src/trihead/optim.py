@@ -25,6 +25,19 @@ def lr_at(step: int, total_steps: int, config) -> float:
     return base * (total_steps - step) / (total_steps - warmup)
 
 
+def check_schedule(config) -> None:
+    """The checks TrainConfig and PretrainSchedule share, on batch_size,
+    base_lr, warmup_steps and seed."""
+    if config.batch_size < 1:
+        raise ConfigError(f"batch_size must be >= 1, got {config.batch_size}")
+    if not 0 < config.base_lr < np.inf:
+        raise ConfigError(f"base_lr must be positive and finite, got {config.base_lr}")
+    if config.warmup_steps < 0:
+        raise ConfigError("warmup_steps must be nonnegative")
+    if config.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
+
+
 # the AdamW defaults of Loshchilov & Hutter, Decoupled Weight Decay
 # Regularization (2019), and the global gradient-norm budget
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8

@@ -253,7 +253,7 @@ def batch_encode(texts: Sequence[str], vocab: Vocab, max_len: int) -> EncodedBat
     try:
         ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
         mask = np.zeros((len(rows), max_len), dtype=np.int64)
-    except MemoryError:
+    except (MemoryError, ValueError):  # ValueError: past numpy's own size limit
         raise ConfigError(f"max_len {max_len}: {len(rows)} rows of {max_len} token ids "
                           "do not fit in memory") from None
     for r, row in enumerate(rows):

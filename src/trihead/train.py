@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteError,
 )
 from .metrics import TASK_LABELS, TASKS, MetricsReport, TriLabel, score_triples
-from .optim import AdamW, lr_at, optimizer_step
+from .optim import AdamW, check_schedule, lr_at, optimizer_step
 from .pooling import attention_pool, logits_for, mean_pool, predict_labels
 from .textpipe import EmojiMap, EncodedBatch, Vocab, batch_encode, normalize
 
@@ -51,14 +51,7 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not 0 < self.base_lr < np.inf:
-            raise ConfigError(f"base_lr must be positive and finite, got {self.base_lr}")
-        if self.warmup_steps < 0:
-            raise ConfigError("warmup_steps must be nonnegative")
-        if self.seed < 0:
-            raise ConfigError(f"seed must be nonnegative, got {self.seed}")
+        check_schedule(self)
         if self.pooler not in POOLER_KINDS:
             raise ConfigError(f"pooler must be one of {POOLER_KINDS}, got {self.pooler!r}")
         w = tuple(float(x) for x in self.task_loss_weights)

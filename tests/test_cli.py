@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trihead.assets import asset_path
-from trihead.cli import _load_run_config, main
+from trihead.cli import _COMMAND_KEYS, main
 from trihead.data import load_checkpoint, load_dataset, save_checkpoint
 from trihead.encoder import EncoderConfig
 from trihead.optim import clip_global_norm
@@ -312,23 +312,32 @@ def cap_address_space():
     resource.setrlimit(resource.RLIMIT_AS, (ADDRESS_SPACE_CAP, ADDRESS_SPACE_CAP))
 
 
+# past numpy's own size limit: its shape check fails before any allocation
+HUGE, INT64_MAX = "100000000000000000000", str(2**63 - 1)
+
+
 @pytest.mark.parametrize("argv, row_tokens, message, seconds", [
-    (["--d-model", "100000", "--n-heads", "1"], None,
+    (["train", "--d-model", "100000", "--n-heads", "1"], None,
      "parameter 'encoder.layer0.attn.wq' of shape (100000, 100000) does not fit in memory",
      60),
-    (["--max-len", "1000000000"], None,
+    (["train", "--max-len", "1000000000"], None,
      "max_len 1000000000: 64 rows of 1000000000 token ids", 60),
+    (["train", "--max-len", HUGE], None, f"max_len {HUGE}: 64 rows", 5),
+    (["train", "--max-len", INT64_MAX], None, f"max_len {INT64_MAX}: 64 rows", 5),
+    (["pretrain", "--max-len", HUGE], None, f"max_len {HUGE}: 200 rows", 5),
+    (["pretrain", "--max-len", INT64_MAX], None, f"max_len {INT64_MAX}: 200 rows", 5),
     # the attention scores of one training batch, as numpy names them; a
     # batch is cut to its longest row, so the rows fill max_len
-    (["--max-len", "20000"], 20000, "shape (8, 2, 20000, 20000)", 60),
+    (["train", "--max-len", "20000"], 20000, "shape (8, 2, 20000, 20000)", 60),
     # every layer is small: the table is sized before any of it is allocated
-    (["--n-layers", "100000000"], None, "n_layers=100000000", 5),
+    (["train", "--n-layers", "100000000"], None, "n_layers=100000000", 5),
     # the table alone fits: its gradients and AdamW's buffers do not
-    (["--n-layers", "9000"], None, "n_layers=9000", 5),
-], ids=["d-model", "max-len-ids", "max-len-batch", "n-layers-1e8", "n-layers-9000"])
+    (["train", "--n-layers", "9000"], None, "n_layers=9000", 5),
+], ids=["d-model", "max-len-ids", "max-len-1e20", "max-len-int64", "pretrain-max-len-1e20",
+        "pretrain-max-len-int64", "max-len-batch", "n-layers-1e8", "n-layers-9000"])
 def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, row_tokens, message,
                                                  seconds):
-    data = TRAIN_TSV
+    data = TRAIN_TSV if argv[0] == "train" else CORPUS_TXT
     if row_tokens is not None:
         data = tmp_path / "long.tsv"
         row = " ".join(["khub"] * row_tokens)
@@ -338,8 +347,9 @@ def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, row_tokens, mess
     # run only under the address-space cap: uncapped, these sizes may
     # take the machine's memory before numpy gives up
     proc = subprocess.run(
-        [sys.executable, "-m", "trihead.cli", "train", "--data", str(data),
-         "--out", str(tmp_path / "run"), *argv],
+        [sys.executable, "-m", "trihead.cli", argv[0],
+         "--data" if argv[0] == "train" else "--corpus", str(data),
+         "--out", str(tmp_path / "run"), *argv[1:]],
         preexec_fn=cap_address_space, capture_output=True, text=True, timeout=seconds,
         env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
              "PYTHONPATH": os.pathsep.join(sys.path)})
@@ -416,8 +426,28 @@ def test_config_keys_and_their_defaults_are_pinned():
     # the keys are the public JSON config format; the defaults come from the
     # library dataclasses, apart from the CLI's own epochs, vocab size,
     # balance and paths
-    cfg = _load_run_config(None, {})
-    assert vars(cfg) == {
+    shape = {"d_model": 64, "n_layers": 2, "n_heads": 2, "d_ff": 128, "max_len": 48,
+             "dropout_p": 0.3, "vocab_target_size": 200,
+             "data": None, "emoji_map": None, "out": None}
+    assert _COMMAND_KEYS == {
+        "train": {**shape, "epochs": 5, "batch_size": 8, "base_lr": 2e-5,
+                  "warmup_steps": 0, "seed": 42, "pooler": "attention",
+                  "task_loss_weights": (1.0, 1.0, 1.0), "freeze": (), "balance": False,
+                  "dev": None, "encoder": None},
+        "pretrain": {**shape, "pretrain_steps": 300, "pretrain_batch_size": 8,
+                     "pretrain_lr": 1e-3, "warmup_steps": 0, "pretrain_mask_rate": 0.15,
+                     "seed": 42},
+        "eval": {"data": None, "seed": 42},
+        "stats": {"data": None, "seed": 42},
+        "predict": {"seed": 42},
+        "score": {"seed": 42},
+    }
+    # every command agrees on the default of a key it shares, and together
+    # they read the 25 keys of the config format
+    union = {}
+    for table in _COMMAND_KEYS.values():
+        assert all(union.setdefault(key, value) == value for key, value in table.items())
+    assert union == {
         "d_model": 64, "n_layers": 2, "n_heads": 2, "d_ff": 128, "max_len": 48,
         "dropout_p": 0.3,
         "epochs": 5, "batch_size": 8, "base_lr": 2e-5, "warmup_steps": 0,
@@ -428,6 +458,32 @@ def test_config_keys_and_their_defaults_are_pinned():
         "pretrain_mask_rate": 0.15,
         "data": None, "dev": None, "emoji_map": None, "encoder": None, "out": None,
     }
+
+
+@pytest.mark.parametrize("argv, key", [
+    (["train", "--data", TRAIN_TSV, *FAST], "pretrain_steps"),
+    (["eval", "--model", "unused.ckpt", "--data", TRAIN_TSV], "out"),
+    (["stats", "--data", TRAIN_TSV], "out"),
+    (["predict", "--model", "unused.ckpt", "--input", TRAIN_TSV, "--output", "unused.tsv"],
+     "data"),
+    (["score", "--gold", TRAIN_TSV, "--pred", TRAIN_TSV], "data"),
+], ids=lambda v: v[0] if isinstance(v, list) else v)
+def test_each_command_refuses_a_config_key_it_does_not_read(tmp_path, capsys, argv, key):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({key: "x"}))
+    code, out, err = run(capsys, *argv, "--config", str(config))
+    assert (code, out) == (2, "")
+    assert err == f"error: {config}: trihead {argv[0]} reads no config keys [{key!r}]\n"
+
+
+def test_pretrain_refuses_the_fine_tuning_keys(tmp_path, capsys):
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"freeze": ["nope."], "pooler": "mean", "epochs": 3}))
+    code, _, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "2",
+                       "--out", str(tmp_path / "pre"), "--config", str(config))
+    assert code == 2
+    assert "trihead pretrain reads no config keys ['epochs', 'freeze', 'pooler']" in err
+    assert not (tmp_path / "pre" / "encoder.ckpt").exists()
 
 
 def test_pretrain_without_seed_uses_seed_42(tmp_path, capsys):
@@ -711,7 +767,7 @@ def test_damaged_dataset_and_label_files_end_in_an_exit_code(fuzz_root, table):
         assert code in (0, 2, 3, 4), (argv, out)
 
 
-CONFIG_KEYS = sorted(vars(_load_run_config(None, {})))
+CONFIG_KEYS = sorted(_COMMAND_KEYS["train"])
 CONFIG_JUNK = (None, -1, 0, 1.5, math.nan, math.inf, "x", "", [], {}, True, [1.0], ["x"])
 # a one-epoch d=16 run on gold.tsv, so that a config that passes trains fast
 FUZZ_CONFIG = {"data": "gold.tsv", "epochs": 1, "n_layers": 1, "d_model": 16,

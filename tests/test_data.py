@@ -93,10 +93,12 @@ def test_wrong_column_count_names_the_line(tmp_path):
 
 
 def test_empty_text_needs_explicit_permission(tmp_path):
+    # a training set needs its texts; prediction input and scored labels do not
     p = write(tmp_path, "d.tsv", [HEADER, "a1\t\tNAG\tNGEN\tNCOM"])
     with pytest.raises(DataError, match="empty text"):
         load_dataset(p)
-    assert load_dataset(p, allow_empty_text=True)[0].text == ""
+    assert load_prediction_input(p) == [("a1", "")]
+    assert load_labels(p) == {"a1": TriLabel("NAG", "NGEN", "NCOM")}
 
 
 def test_write_then_load_is_identity(tmp_path):

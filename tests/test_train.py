@@ -138,6 +138,12 @@ def test_pretrain_schedule_rejects_a_negative_warmup_as_train_config_does():
             make(warmup_steps=-5)
 
 
+def test_pretrain_schedule_rejects_a_zero_batch_as_train_config_does():
+    for make in (cfg, PretrainSchedule):
+        with pytest.raises(ConfigError, match="^batch_size must be >= 1, got 0$"):
+            make(batch_size=0)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 def test_non_finite_rate_or_weight_is_a_config_error(bad):
     # either would train on and surface later as a divergence
