@@ -8,7 +8,10 @@ The set, in order: the README's CLI quick start (read from README.md); a
 warm start from its encoder with `encoder.layer0.` and `pooler.` frozen; a
 pretrain whose warmup and mask rate come from its `--config` file; a
 `--pooler mean --emoji-map` train with a dev split, then eval, predict and
-score of its model; `trihead stats` on perfbench/gen.py's seed-4242
+score of its model, and predict and score of it over scraped.tsv, a few
+scraped-style rows (mixed-case URLs, periods and colons, mapped and unmapped
+emoji, Bengali script, the long s and the Kelvin sign) that no bundled asset
+holds; `trihead stats` on perfbench/gen.py's seed-4242
 published-scale rows; and the five demos. For each command the manifest
 holds its argv, exit code, stdout and stderr, and the sha256 of every file
 it wrote or changed. Two runs of one checkout give identical manifests, so
@@ -36,8 +39,24 @@ ROOT = Path(__file__).resolve().parents[1]
 SYN = "src/trihead/assets"  # the README's $SYN, relative to the run directory
 DEMOS = ("autograd_basics.py", "text_pipeline.py", "pooling_comparison.py",
          "train_and_score.py", "mlm_pretraining.py")
+DATASET_HEADER = ("id", "text", "aggression", "gender", "communal")
 FROZEN = {"freeze": ["encoder.layer0.", "pooler."]}
 PRETRAIN_CONFIG = {"warmup_steps": 10, "pretrain_mask_rate": 0.25}
+# id, text, labels; the texts exercise every normalize pass, and a pass
+# skipped where it could have matched shows up in the predictions
+SCRAPED = [
+    ("s1", "dekho HTTPS://Example.com/x?y=1 khub bhalo \U0001f602", "NAG", "NGEN", "NCOM"),
+    ("s2", "Www.Site.ORG/page: tor moto chele!!", "OAG", "GEN", "NCOM"),
+    ("s3", "ami bhalo achi. tumi? 10:30 e asho", "NAG", "NGEN", "NCOM"),
+    ("s4", "\U0001f621\U0001f621 raag hoye gelo \U0001f525 \u2764\ufe0f prem",
+     "CAG", "NGEN", "COM"),
+    ("s5", "\u0986\u09ae\u09bf \u09ad\u09be\u09b2\u09cb \u0986\u099b\u09bf\u0964 "
+           "\u09a4\u09c1\u09ae\u09bf?", "NAG", "NGEN", "NCOM"),
+    ("s6", "http\u017f://\u017fite.com \u212aelvin \u017fhanti", "CAG", "GEN", "NCOM"),
+    ("s7", "\U0001f468\u200d\U0001f469\u200d\U0001f467 paribar \U0001f44d www.x",
+     "NAG", "NGEN", "COM"),
+    ("s8", "kichu na: just.dots...and:colons", "OAG", "NGEN", "NCOM"),
+]
 
 
 def readme_cli_quick_start() -> list:
@@ -73,6 +92,10 @@ def command_set() -> list:
                           "--input", f"{SYN}/synth_dev.tsv", "--output", "pred-mean.tsv"]),
         ("mean score", ["trihead", "score", "--gold", f"{SYN}/synth_dev.tsv",
                         "--pred", "pred-mean.tsv"]),
+        ("scraped predict", ["trihead", "predict", "--model", "run-mean/model.ckpt",
+                             "--input", "scraped.tsv", "--output", "pred-scraped.tsv"]),
+        ("scraped score", ["trihead", "score", "--gold", "scraped.tsv",
+                           "--pred", "pred-scraped.tsv"]),
         ("published stats", ["trihead", "stats", "--data", "published/published.tsv"]),
     ]
     runs += [(f"demo {name}", ["python", f"demos/{name}"]) for name in DEMOS]
@@ -90,6 +113,9 @@ def prepare(work: Path) -> None:
     shutil.copytree(ROOT / SYN, work / SYN, ignore=shutil.ignore_patterns("*.py", "__pycache__"))
     (work / "frozen.json").write_text(json.dumps(FROZEN), encoding="utf-8")
     (work / "pretrain.json").write_text(json.dumps(PRETRAIN_CONFIG), encoding="utf-8")
+    (work / "scraped.tsv").write_text(
+        "\n".join("\t".join(row) for row in [DATASET_HEADER, *SCRAPED]) + "\n",
+        encoding="utf-8")
     spec = importlib.util.spec_from_file_location("gen", ROOT / "perfbench" / "gen.py")
     gen = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(gen)

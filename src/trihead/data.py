@@ -119,24 +119,32 @@ def _read_lines(path) -> tuple:
     return lines, tuple(lines[0].split("\r", 1)[0].split("\t")) == DATASET_HEADER
 
 
-def _examples(path, lines: list, allow_empty_text: bool) -> list:
-    examples = []
-    for lineno, (row_id, text, *labels) in _read_rows(path, lines, DATASET_HEADER):
-        if not text and not allow_empty_text:
-            raise DataError(f"{path}:{lineno}: empty text for id {row_id!r}")
+def _triple(triples: dict, labels: list, path, lineno: int, row_id: str) -> TriLabel:
+    """The row's TriLabel, built and checked once per distinct label triple
+    in a file (triples is that file's own table), so a bad label still
+    fails at the first line that holds it."""
+    key = tuple(labels)
+    triple = triples.get(key)
+    if triple is None:
         try:
-            triple = TriLabel(*labels)
+            triple = triples[key] = TriLabel(*labels)
         except DataError as e:
             raise DataError(f"{path}:{lineno} (id {row_id!r}): {e}") from None
-        examples.append(Example(id=row_id, text=text, labels=triple))
-    return examples
+    return triple
 
 
 def load_dataset(path) -> list:
     """Parse a labeled TSV into Examples; every label is validated against
     its closed set, ids must be unique, and a header-only file is simply an
     empty dataset."""
-    return _examples(path, _read_lines(path)[0], allow_empty_text=False)
+    examples, triples = [], {}
+    for lineno, (row_id, text, *labels) in _read_rows(path, _read_lines(path)[0],
+                                                     DATASET_HEADER):
+        if not text:
+            raise DataError(f"{path}:{lineno}: empty text for id {row_id!r}")
+        examples.append(Example(id=row_id, text=text,
+                                labels=_triple(triples, labels, path, lineno, row_id)))
+    return examples
 
 
 def write_dataset(examples, path) -> None:
@@ -151,25 +159,20 @@ def write_dataset(examples, path) -> None:
 
 def load_prediction_input(path) -> list:
     """Rows to predict: (id, text) pairs from either a bare id/text TSV or a
-    full labeled dataset file (labels ignored)."""
+    full labeled dataset file (labels ignored, not checked)."""
     lines, is_dataset = _read_lines(path)
-    if is_dataset:
-        return [(ex.id, ex.text) for ex in _examples(path, lines, allow_empty_text=True)]
-    return [(row_id, text) for _, (row_id, text) in _read_rows(path, lines, PREDICTION_HEADER)]
+    header = DATASET_HEADER if is_dataset else PREDICTION_HEADER
+    return [(row_id, text) for _, (row_id, text, *_) in _read_rows(path, lines, header)]
 
 
 def load_labels(path) -> dict:
     """id → TriLabel from either a full dataset file or a text-less
     id + three-label TSV (the shape a scorer receives)."""
     lines, is_dataset = _read_lines(path)
-    if is_dataset:
-        return {ex.id: ex.labels for ex in _examples(path, lines, allow_empty_text=True)}
-    out = {}
-    for lineno, (row_id, *labels) in _read_rows(path, lines, LABELS_HEADER):
-        try:
-            out[row_id] = TriLabel(*labels)
-        except DataError as e:
-            raise DataError(f"{path}:{lineno} (id {row_id!r}): {e}") from None
+    header = DATASET_HEADER if is_dataset else LABELS_HEADER
+    out, triples = {}, {}
+    for lineno, (row_id, *fields) in _read_rows(path, lines, header):
+        out[row_id] = _triple(triples, fields[-len(TASKS):], path, lineno, row_id)
     return out
 
 

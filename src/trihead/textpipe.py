@@ -12,6 +12,7 @@ import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -117,10 +118,14 @@ def normalize(raw: str, emoji_map: EmojiMap | None = None) -> str:
     """Scrub one comment: URLs out, emoji mapped or dropped, all Unicode
     punctuation stripped, whitespace collapsed and trimmed. Idempotent, and
     total: any Unicode string in, clean string out."""
-    text = _URL_RE.sub(" ", raw)
+    # Each regex runs only where it can match: every URL match holds "://"
+    # or "www.", and every _EMOJI_RANGES code point is past ASCII. Neither
+    # "." nor ":" has a case variant, so re.IGNORECASE cannot bring one in.
+    text = _URL_RE.sub(" ", raw) if "." in raw or ":" in raw else raw
     if emoji_map is not None:
         text = emoji_map.apply(text)
-    text = _EMOJI_RE.sub(" ", text)
+    if not text.isascii():
+        text = _EMOJI_RE.sub(" ", text)
     text = _strip_punctuation(text)
     return " ".join(text.split())
 
@@ -174,18 +179,15 @@ def build_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
     if target_size < len(RESERVED) + 1:
         raise ConfigError(f"target_size must be at least {len(RESERVED) + 1}, got {target_size}")
     counts: Counter = Counter()
-    chars: set[str] = set()
     n_texts = 0
     for text in corpus:
         n_texts += 1
-        for word in text.split():
-            counts[word] += 1
-            chars.update(word)
+        counts.update(text.split())
     if n_texts == 0:
         raise DataError("build_vocab: empty corpus")
 
     tokens = list(RESERVED)
-    ordered_chars = sorted(chars)
+    ordered_chars = sorted(set("".join(counts)))
     tokens.extend(ordered_chars)
     tokens.extend(CONT + c for c in ordered_chars)
     seen = set(tokens)
@@ -200,15 +202,23 @@ def build_vocab(corpus: Iterable[str], target_size: int) -> Vocab:
 
 def tokenize(text: str, vocab: Vocab) -> list[str]:
     """Whole word when the vocab has it, otherwise character pieces."""
-    pieces = []
+    return [vocab.tokens[i] for i in _piece_ids(text, vocab)]
+
+
+def _piece_ids(text: str, vocab: Vocab) -> list:
+    """The id of each piece of text, each looked up once: a word's own id
+    when the vocab has it, otherwise one piece per character ('##'-marked
+    after the first), [UNK] for a piece the vocab lacks."""
+    get = vocab._ids.get
+    ids = []
     for word in text.split():
-        if word in vocab:
-            pieces.append(word)
-            continue
-        for i, ch in enumerate(word):
-            piece = ch if i == 0 else CONT + ch
-            pieces.append(piece if piece in vocab else UNK)
-    return pieces
+        whole = get(word)
+        if whole is not None:
+            ids.append(whole)
+        else:
+            ids.append(get(word[0], UNK_ID))
+            ids.extend(get(CONT + ch, UNK_ID) for ch in word[1:])
+    return ids
 
 
 @dataclass(frozen=True)
@@ -249,16 +259,18 @@ def batch_encode(texts: Sequence[str], vocab: Vocab, max_len: int) -> EncodedBat
         raise DataError("batch_encode: no texts")
     if max_len < 2:
         raise ConfigError(f"max_len must be at least 2, got {max_len}")
-    rows = [[CLS_ID, *(vocab.id_of(p) for p in tokenize(t, vocab))][:max_len] for t in texts]
+    rows = [[CLS_ID, *_piece_ids(t, vocab)][:max_len] for t in texts]
+    lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
     try:
         ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(rows), max_len), dtype=np.int64)
+        real = np.arange(max_len) < lengths[:, None]
+        # boolean indexing walks row-major, so the rows' ids go in end to end
+        ids[real] = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                                count=int(lengths.sum()))
+        mask = real.astype(np.int64)
     except (MemoryError, ValueError):  # ValueError: past numpy's own size limit
         raise ConfigError(f"max_len {max_len}: {len(rows)} rows of {max_len} token ids "
                           "do not fit in memory") from None
-    for r, row in enumerate(rows):
-        ids[r, :len(row)] = row
-        mask[r, :len(row)] = 1
     return EncodedBatch(token_ids=ids, attention_mask=mask)
 
 

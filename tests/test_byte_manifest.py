@@ -7,6 +7,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+from trihead.assets import asset_path
+from trihead.data import DATASET_HEADER, load_dataset
+from trihead.textpipe import _EMOJI_RE, _URL_RE, EmojiMap
+
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "byte_manifest.py"
 
 
@@ -55,3 +59,19 @@ def test_each_differing_entry_is_listed(tmp_path, capsys):
         f"differs: readme 1 train: file run/extra.csv (only in {b})",
         "8 of 17 entries differ",
     ]
+
+
+def test_scraped_rows_are_a_dataset_that_reaches_every_normalize_pass(tmp_path):
+    script = load_script()
+    assert script.DATASET_HEADER == DATASET_HEADER
+    path = tmp_path / "scraped.tsv"
+    path.write_text("\n".join("\t".join(row) for row in [DATASET_HEADER, *script.SCRAPED]),
+                    encoding="utf-8")
+    texts = [ex.text for ex in load_dataset(path)]
+    emoji_map = EmojiMap.from_tsv(asset_path("emoji_map.tsv"))
+    assert any(_URL_RE.search(t) and "://" in t for t in texts)
+    assert any(_URL_RE.search(t) and "://" not in t for t in texts)
+    assert any(emoji_map.apply(t) != t for t in texts)
+    assert any(_EMOJI_RE.search(emoji_map.apply(t)) for t in texts)
+    assert any("\u0980" <= ch <= "\u09ff" for t in texts for ch in t)  # Bengali
+    assert any("\u017f" in t and "\u212a" in t for t in texts)  # long s, Kelvin sign

@@ -800,6 +800,18 @@ def test_predict_keeps_input_row_order(trained, tmp_path, capsys):
     assert got_ids == [ex.id for ex in shuffled]
 
 
+def test_predict_ignores_the_labels_of_a_labelled_input(trained, tmp_path, capsys):
+    # `predict --help` says labels, if present, are ignored: an aggression
+    # label outside its closed set is not predict's to refuse
+    inp = tmp_path / "in.tsv"
+    inp.write_text(f"{HEADER}\nq1\tki khobor\tXAG\tNGEN\tNCOM\n", encoding="utf-8")
+    outp = tmp_path / "out.tsv"
+    code, _, err = run(capsys, "predict", "--model", str(trained),
+                       "--input", str(inp), "--output", str(outp))
+    assert code == 0, err
+    assert [ex.id for ex in load_dataset(outp)] == ["q1"]
+
+
 def test_gold_scored_against_itself_is_perfect(capsys):
     code, out, _ = run(capsys, "score", "--gold", DEV_TSV, "--pred", DEV_TSV)
     assert code == 0

@@ -74,6 +74,26 @@ def test_bad_label_names_line_and_id(tmp_path):
         load_dataset(p)
 
 
+@pytest.mark.parametrize("load, header, text", [
+    (load_dataset, HEADER, "hey\t"),
+    (load_labels, HEADER, "hey\t"),
+    (load_labels, "id\taggression\tgender\tcommunal", ""),
+], ids=["dataset", "labels-full", "labels-bare"])
+def test_a_bad_triple_fails_at_its_first_line_after_a_good_one_repeats(
+        tmp_path, load, header, text):
+    # each distinct triple is checked once per file; a repeat of a good one
+    # is not checked again, and a bad one is still named where it first is
+    p = write(tmp_path, "d.tsv", [header, f"a1\t{text}NAG\tGEN\tNCOM",
+                                  f"a2\t{text}NAG\tGEN\tNCOM", f"a3\t{text}NAG\tGEN\tCOMM",
+                                  f"a4\t{text}NAG\tGEN\tCOMM"])
+    with pytest.raises(DataError) as e:
+        load(p)
+    assert str(e.value) == (f"{p}:4 (id 'a3'): invalid communal label 'COMM'; "
+                            "expected one of ('NCOM', 'COM')")
+    assert load(write(tmp_path, "good.tsv", [header, f"a1\t{text}NAG\tGEN\tNCOM",
+                                             f"a2\t{text}NAG\tGEN\tNCOM"]))
+
+
 @pytest.mark.parametrize("loader, lines", [
     (load_dataset, [HEADER, "a1\they\tNAG\tNGEN\tNCOM", "a1\tyo\tNAG\tNGEN\tNCOM"]),
     (load_prediction_input, ["id\ttext", "a1\they", "a1\tyo"]),
@@ -146,6 +166,18 @@ def test_prediction_input_accepts_bare_pairs(tmp_path):
 def test_prediction_input_accepts_full_dataset(tmp_path):
     p = write(tmp_path, "p.tsv", [HEADER, "q1\tki khobor\tNAG\tNGEN\tNCOM"])
     assert load_prediction_input(p) == [("q1", "ki khobor")]
+
+
+def test_prediction_input_does_not_check_the_labels_it_ignores(tmp_path):
+    p = write(tmp_path, "p.tsv", [HEADER, "q1\tki khobor\tXAG\tNGEN\tNCOM"])
+    assert load_prediction_input(p) == [("q1", "ki khobor")]
+    # its columns and ids are still checked
+    p = write(tmp_path, "p.tsv", [HEADER, "q1\tki khobor\tXAG\tNGEN"])
+    with pytest.raises(DataError, match=r"p\.tsv:2: expected 5 columns, got 4"):
+        load_prediction_input(p)
+    p = write(tmp_path, "p.tsv", [HEADER, "q1\tki\tXAG\tNGEN\tNCOM", "q1\tyo\tNAG\tNGEN\tNCOM"])
+    with pytest.raises(DataError, match=r"p\.tsv:3: duplicate id 'q1'"):
+        load_prediction_input(p)
 
 
 def test_labels_from_either_shape(tmp_path):
