@@ -95,16 +95,16 @@ def _read_rows(path, lines: list, expected_header: tuple):
                         + ("; the line ends in \\r (Windows line endings)" if crlf else ""))
     seen = set()
     for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split("\t")
-        if len(fields) != len(expected_header):
+        cells = line.split("\t")
+        if len(cells) != len(expected_header):
             raise DataError(
-                f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(fields)}"
+                f"{path}:{lineno}: expected {len(expected_header)} columns, got {len(cells)}"
             )
-        row_id = fields[0]  # every header starts with id
+        row_id = cells[0]  # every header starts with id
         if row_id in seen:
             raise DataError(f"{path}:{lineno}: duplicate id {row_id!r}")
         seen.add(row_id)
-        yield lineno, fields
+        yield lineno, cells
 
 
 def _fmt_header(header) -> str:
@@ -171,8 +171,8 @@ def load_labels(path) -> dict:
     lines, is_dataset = _read_lines(path)
     header = DATASET_HEADER if is_dataset else LABELS_HEADER
     out, triples = {}, {}
-    for lineno, (row_id, *fields) in _read_rows(path, lines, header):
-        out[row_id] = _triple(triples, fields[-len(TASKS):], path, lineno, row_id)
+    for lineno, (row_id, *rest) in _read_rows(path, lines, header):
+        out[row_id] = _triple(triples, rest[-len(TASKS):], path, lineno, row_id)
     return out
 
 
