@@ -82,19 +82,16 @@ def _is_number(value) -> bool:
 
 
 # What a config-file value must be, by the type of its key's default; a
-# path key (default None) may also be null.
+# path key (default None) may also be null, and a list key (default ()) is
+# a JSON list.
 _FILE_TYPES = {
     bool: ("true or false", lambda v: isinstance(v, bool)),
     int: ("an integer", lambda v: type(v) is int),
     float: ("a number", _is_number),
     str: ("a string", lambda v: isinstance(v, str)),
     type(None): ("a string", lambda v: v is None or isinstance(v, str)),
-}
-_LIST_TYPES = {
-    "task_loss_weights": ("a list of numbers",
-                          lambda v: isinstance(v, list) and all(map(_is_number, v))),
-    "freeze": ("a list of strings",
-               lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
+    tuple: ("a list of strings",
+            lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v)),
 }
 
 
@@ -135,7 +132,7 @@ def _given_values(args) -> dict:
             raise ConfigError(f"{args.config}: trihead {args.command} reads no "
                               f"config keys {unread}")
         for key, value in file_values.items():
-            want, ok = _LIST_TYPES.get(key) or _FILE_TYPES[type(table[key])]
+            want, ok = _FILE_TYPES[type(table[key])]
             if not ok(value):
                 raise ConfigError(f"{args.config}: config key {key!r} must be {want}, "
                                   f"got {json.dumps(value)}")
@@ -225,7 +222,7 @@ def cmd_train(args) -> int:
         (out / "trace.csv").write_text(trace_to_csv(result.trace),
                                        encoding="utf-8")
 
-    if dev is not None and result.best_epoch is not None:
+    if dev is not None:
         report = result.dev_history[result.best_epoch]
     else:
         report = evaluate(result.checkpoint, dataset)
@@ -301,9 +298,8 @@ def cmd_pretrain(args) -> int:
     checkpoint = Checkpoint(kind="encoder", config=config, vocab=vocab, emoji_map=emoji_map,
                             pooler_kind="none", params=params, meta=meta)
     save_checkpoint(checkpoint, out / "encoder.ckpt")
-    trace = "step,loss\n" + "".join(f"{i},{repr(v)}\n"
-                                    for i, v in enumerate(losses))
-    (out / "pretrain_trace.csv").write_text(trace, encoding="utf-8")
+    (out / "pretrain_trace.csv").write_text(
+        trace_to_csv(enumerate(losses), ("step", "loss")), encoding="utf-8")
 
     _print_seeded(cfg.seed,
                   f"pretrained {schedule.steps} steps on {len(sentences)} sentences",

@@ -2,7 +2,7 @@
 
 One model serves all three tasks: the pooled sentence vector feeds an
 aggression head, a gender-bias head, and a communal-bias head, and the
-step loss is the weighted sum of their cross-entropies. The defaults
+step loss is the sum of their cross-entropies. The defaults
 follow the published recipe: batch 8, dropout 0.3, linear LR schedule
 from 2e-5. When a dev split is given, the checkpoint that scored the best
 overall micro F1 is the one returned.
@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, add, cross_entropy, dropout, scale
+from .autograd import Tensor, add, cross_entropy, dropout
 from .encoder import EncoderConfig, encode_batch, fill_params, param_specs
 from .errors import (
     CheckpointFormatError,
@@ -43,7 +43,6 @@ class TrainConfig:
     warmup_steps: int = 0
     seed: int = 42
     pooler: str = "attention"
-    task_loss_weights: tuple = (1.0, 1.0, 1.0)
     # parameter-name prefixes excluded from updates, e.g. ("pooler.",); train()
     # rejects a prefix that matches no parameter and a list that freezes all
     freeze: tuple = ()
@@ -54,11 +53,6 @@ class TrainConfig:
         check_schedule(self)
         if self.pooler not in POOLER_KINDS:
             raise ConfigError(f"pooler must be one of {POOLER_KINDS}, got {self.pooler!r}")
-        w = tuple(float(x) for x in self.task_loss_weights)
-        if len(w) != len(TASKS) or not all(0 <= x < np.inf for x in w) or not any(w):
-            raise ConfigError(f"task_loss_weights needs one finite nonnegative value per "
-                              f"task {TASKS}, at least one positive")
-        object.__setattr__(self, "task_loss_weights", w)
         object.__setattr__(self, "freeze", tuple(self.freeze))
 
 
@@ -78,7 +72,7 @@ class Checkpoint:
     emoji_map: EmojiMap | None = None
 
 
-# one training step: its lr, the weighted loss, then each task's own loss
+# one training step: its lr, the summed loss, then each task's own loss
 TraceRow = namedtuple("TraceRow", ("step", "lr", "loss", *(f"loss_{t}" for t in TASKS)))
 
 
@@ -90,10 +84,11 @@ class TrainResult:
     best_epoch: int | None
 
 
-def trace_to_csv(rows) -> str:
+def trace_to_csv(rows, header=TraceRow._fields) -> str:
+    """CSV text of rows under header, each value written as its repr."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(TraceRow._fields)
+    writer.writerow(header)
     for r in rows:
         writer.writerow([repr(value) for value in r])
     return buf.getvalue()
@@ -230,7 +225,6 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     n = len(dataset)
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * batches_per_epoch
-    weights = config.task_loss_weights
 
     trace: list[TraceRow] = []
     dev_history: list[MetricsReport] = []
@@ -249,11 +243,9 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
             except NonFiniteError:
                 # activations blew up before the loss could; same disease
                 raise DivergenceError(step) from None
-            # summed left to right in task order: add(add(w0·L0, w1·L1), w2·L2)
-            loss = None
-            for t, w in zip(TASKS, weights):
-                term = scale(task_losses[t], w)
-                loss = term if loss is None else add(loss, term)
+            # summed left to right in task order: add(add(L0, L1), L2)
+            aggression, gender, communal = (task_losses[t] for t in TASKS)
+            loss = add(add(aggression, gender), communal)
             lr = lr_at(step, total_steps, config)
             loss_value = optimizer_step(opt, loss, step, lr)
             trace.append(TraceRow(step, lr, loss_value,

@@ -99,7 +99,7 @@ def test_invalid_config_json_is_a_config_error(tmp_path, capsys):
     assert code == 2
 
 
-WRONG_TYPED = {"epochs": "5", "task_loss_weights": 5, "freeze": 5, "seed": "x",
+WRONG_TYPED = {"epochs": "5", "freeze": 5, "seed": "x",
                "max_len": None, "base_lr": "1e-3", "dropout_p": [0.1]}
 
 
@@ -432,7 +432,7 @@ def test_config_keys_and_their_defaults_are_pinned():
     assert _COMMAND_KEYS == {
         "train": {**shape, "epochs": 5, "batch_size": 8, "base_lr": 2e-5,
                   "warmup_steps": 0, "seed": 42, "pooler": "attention",
-                  "task_loss_weights": (1.0, 1.0, 1.0), "freeze": (), "balance": False,
+                  "freeze": (), "balance": False,
                   "dev": None, "encoder": None},
         "pretrain": {**shape, "pretrain_steps": 300, "pretrain_batch_size": 8,
                      "pretrain_lr": 1e-3, "warmup_steps": 0, "pretrain_mask_rate": 0.15,
@@ -443,7 +443,7 @@ def test_config_keys_and_their_defaults_are_pinned():
         "score": {"seed": 42},
     }
     # every command agrees on the default of a key it shares, and together
-    # they read the 25 keys of the config format
+    # they read the 24 keys of the config format
     union = {}
     for table in _COMMAND_KEYS.values():
         assert all(union.setdefault(key, value) == value for key, value in table.items())
@@ -451,8 +451,7 @@ def test_config_keys_and_their_defaults_are_pinned():
         "d_model": 64, "n_layers": 2, "n_heads": 2, "d_ff": 128, "max_len": 48,
         "dropout_p": 0.3,
         "epochs": 5, "batch_size": 8, "base_lr": 2e-5, "warmup_steps": 0,
-        "seed": 42, "pooler": "attention", "task_loss_weights": (1.0, 1.0, 1.0),
-        "freeze": (),
+        "seed": 42, "pooler": "attention", "freeze": (),
         "vocab_target_size": 200, "balance": False,
         "pretrain_steps": 300, "pretrain_batch_size": 8, "pretrain_lr": 1e-3,
         "pretrain_mask_rate": 0.15,
@@ -484,6 +483,17 @@ def test_pretrain_refuses_the_fine_tuning_keys(tmp_path, capsys):
     assert code == 2
     assert "trihead pretrain reads no config keys ['epochs', 'freeze', 'pooler']" in err
     assert not (tmp_path / "pre" / "encoder.ckpt").exists()
+
+
+def test_train_refuses_task_loss_weights(tmp_path, capsys):
+    # the step loss is the plain sum of the three task losses; no key weights them
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"task_loss_weights": [1, 1, 1]}))
+    code, out, err = run(capsys, "train", "--data", TRAIN_TSV, *FAST,
+                         "--out", str(tmp_path / "run"), "--config", str(config))
+    assert (code, out) == (2, "")
+    assert "trihead train reads no config keys ['task_loss_weights']" in err
+    assert not (tmp_path / "run").exists()
 
 
 def test_pretrain_without_seed_uses_seed_42(tmp_path, capsys):
