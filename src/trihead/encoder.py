@@ -33,8 +33,8 @@ from .autograd import (
     split_heads,
     transpose,
 )
-from .errors import ConfigError, DataError, DivergenceError, NonFiniteError
-from .optim import AdamW, check_schedule, lr_at, optimizer_step
+from .errors import ConfigError, DataError
+from .optim import AdamW, check_schedule, run_steps
 from .textpipe import RESERVED, UNK_ID, EncodedBatch, Vocab, batch_encode
 
 NEG_INF = -1e9
@@ -277,8 +277,7 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
     rng = np.random.default_rng(ss_steps)
     opt = AdamW(params)
 
-    losses = []
-    for step in range(schedule.steps):
+    def mlm_loss(_step):
         # cut before masking, so the flat positions index the cut width
         batch = encoded.cut(rng.integers(0, n, size=min(schedule.batch_size, n)))
         # every kept row has a candidate, so positions is never empty
@@ -286,14 +285,11 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
             batch.token_ids, batch.attention_mask, schedule.mask_rate, config.vocab_size, rng
         )
         batch = EncodedBatch(token_ids=corrupted, attention_mask=batch.attention_mask)
-        try:
-            h = encode_batch(batch, params, config, mode="train", rng=rng)
-            b, l, d = h.shape
-            rows = embedding_lookup(reshape(h, (b * l, d)), positions)
-            logits = linear(rows, transpose(params["tok_emb"]), params["mlm_bias"])
-            loss = cross_entropy(logits, targets)
-        except NonFiniteError:
-            # activations blew up before the loss could; same disease
-            raise DivergenceError(step) from None
-        losses.append(optimizer_step(opt, loss, step, lr_at(step, schedule.steps, schedule)))
-    return params, losses
+        h = encode_batch(batch, params, config, mode="train", rng=rng)
+        b, l, d = h.shape
+        rows = embedding_lookup(reshape(h, (b * l, d)), positions)
+        logits = linear(rows, transpose(params["tok_emb"]), params["mlm_bias"])
+        return [cross_entropy(logits, targets)]
+
+    trace = run_steps(opt, range(schedule.steps), mlm_loss, 0, schedule.steps, schedule)
+    return params, [loss for _, _, loss, _ in trace]

@@ -11,7 +11,7 @@ accuracy.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import DataError
@@ -73,22 +73,7 @@ class MetricsReport:
         raise KeyError(task)
 
     def to_json(self) -> str:
-        payload = {
-            "tasks": [
-                {
-                    "task": ts.task,
-                    "precision": ts.precision,
-                    "recall": ts.recall,
-                    "f1": ts.f1,
-                    "support": ts.support,
-                }
-                for ts in self.tasks
-            ],
-            "overall_micro_f1": self.overall_micro_f1,
-            "instance_f1": self.instance_f1,
-            "n_instances": self.n_instances,
-        }
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
 
     def to_table(self) -> str:
         lines = [f"{'task':<12} {'P':>6} {'R':>6} {'F1':>6}"]

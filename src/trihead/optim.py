@@ -1,11 +1,13 @@
-"""AdamW, global-norm gradient clipping, the LR schedule, and the one step."""
+"""AdamW, global-norm gradient clipping, the LR schedule, and both trainers' step loop."""
 
 from __future__ import annotations
 
+from functools import reduce
+
 import numpy as np
 
-from .autograd import Tensor, backward
-from .errors import ConfigError, DivergenceError
+from .autograd import add, backward
+from .errors import ConfigError, DivergenceError, NonFiniteError
 
 
 def lr_at(step: int, total_steps: int, config) -> float:
@@ -112,17 +114,30 @@ class AdamW:
             p.grad = None
 
 
-def optimizer_step(opt: AdamW, loss: Tensor, step: int, lr: float) -> float:
-    """Backward, clip the global gradient norm, update at lr; returns
-    the loss value. A non-finite loss or norm raises DivergenceError(step)."""
-    value = loss.item()
-    if not np.isfinite(value):
-        raise DivergenceError(step)
-    opt.zero_grad()
-    backward(loss)
-    # NaN > 1 is false, so a NaN norm would pass unclipped into the
-    # parameters and surface only at the next step
-    if not np.isfinite(clip_global_norm(opt.params)):
-        raise DivergenceError(step, "gradient norm")
-    opt.step(lr)
-    return value
+def run_steps(opt: AdamW, batches, loss_terms, first: int, total_steps: int, schedule) -> list:
+    """One optimizer step per batch, numbered from first: sum loss_terms(batch),
+    a list of scalar Tensors, left to right; backward, clip the global gradient
+    norm and update at lr_at(step, total_steps, schedule). Returns a (step, lr,
+    loss, *term values) row per step. A NonFiniteError from loss_terms, or a
+    non-finite loss or gradient norm, raises DivergenceError(step)."""
+    rows = []
+    for step, batch in enumerate(batches, start=first):
+        try:
+            terms = loss_terms(batch)
+        except NonFiniteError:
+            # activations blew up before the loss could; same disease
+            raise DivergenceError(step) from None
+        lr = lr_at(step, total_steps, schedule)
+        loss = reduce(add, terms)
+        value = loss.item()
+        if not np.isfinite(value):
+            raise DivergenceError(step)
+        opt.zero_grad()
+        backward(loss)
+        # NaN > 1 is false, so a NaN norm would pass unclipped into the
+        # parameters and surface only at the next step
+        if not np.isfinite(clip_global_norm(opt.params)):
+            raise DivergenceError(step, "gradient norm")
+        opt.step(lr)
+        rows.append((step, lr, value, *(term.item() for term in terms)))
+    return rows

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autograd import Tensor, add, cross_entropy, dropout
+from .autograd import Tensor, cross_entropy, dropout
 from .encoder import EncoderConfig, encode_batch, fill_params, param_specs
 from .errors import (
     CheckpointFormatError,
@@ -27,7 +27,7 @@ from .errors import (
     NonFiniteError,
 )
 from .metrics import TASK_LABELS, TASKS, MetricsReport, TriLabel, score_triples
-from .optim import AdamW, check_schedule, lr_at, optimizer_step
+from .optim import AdamW, check_schedule, run_steps
 from .pooling import attention_pool, logits_for, mean_pool, predict_labels
 from .textpipe import EmojiMap, EncodedBatch, Vocab, batch_encode, normalize
 
@@ -53,6 +53,8 @@ class TrainConfig:
         check_schedule(self)
         if self.pooler not in POOLER_KINDS:
             raise ConfigError(f"pooler must be one of {POOLER_KINDS}, got {self.pooler!r}")
+        if isinstance(self.freeze, str):  # tuple() would split it into letters
+            raise ConfigError(f"freeze must be a list of prefixes, not the string {self.freeze!r}")
         object.__setattr__(self, "freeze", tuple(self.freeze))
 
 
@@ -226,38 +228,27 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
     total_steps = config.epochs * batches_per_epoch
 
+    def task_losses(pick):
+        logits = forward_logits(params, encoder, config.pooler, encoded.cut(pick),
+                                mode="train", rng=rng_drop)
+        return [cross_entropy(logits[t], targets[t][pick]) for t in TASKS]
+
     trace: list[TraceRow] = []
     dev_history: list[MetricsReport] = []
     best: tuple[float, dict, int] | None = None
-    step = 0
     for epoch in range(config.epochs):
         order = rng_order.permutation(n)
-        for start in range(0, n, config.batch_size):
-            pick = order[start:start + config.batch_size]
-            batch = encoded.cut(pick)
-            try:
-                logits = forward_logits(params, encoder, config.pooler, batch,
-                                        mode="train", rng=rng_drop)
-                task_losses = {t: cross_entropy(logits[t], targets[t][pick])
-                               for t in TASKS}
-            except NonFiniteError:
-                # activations blew up before the loss could; same disease
-                raise DivergenceError(step) from None
-            # summed left to right in task order: add(add(L0, L1), L2)
-            aggression, gender, communal = (task_losses[t] for t in TASKS)
-            loss = add(add(aggression, gender), communal)
-            lr = lr_at(step, total_steps, config)
-            loss_value = optimizer_step(opt, loss, step, lr)
-            trace.append(TraceRow(step, lr, loss_value,
-                                  *(task_losses[t].item() for t in TASKS)))
-            step += 1
+        picks = (order[start:start + config.batch_size]
+                 for start in range(0, n, config.batch_size))
+        trace += map(TraceRow._make, run_steps(opt, picks, task_losses, len(trace),
+                                               total_steps, config))
         if dev is not None:
             try:
                 report = _evaluate_params(params, encoder, config.pooler,
                                           dev_encoded, dev_gold)
             except NonFiniteError:
                 # the last update left weights whose forward pass overflows
-                raise DivergenceError(step - 1, "dev-eval activations") from None
+                raise DivergenceError(len(trace) - 1, "dev-eval activations") from None
             dev_history.append(report)
             if best is None or report.overall_micro_f1 > best[0]:
                 best = (report.overall_micro_f1, _copy_params(params), epoch)

@@ -5,6 +5,7 @@ package. A tiny traced train with a dev split, then a predict, checks
 that those names are still there and still do what the per-layer
 metrics assume: training records a graph, forward-only passes record
 none, and the step clock stamps both optimizer steps and predicted chunks.
+A tiny traced pretrain checks that its steps run in the pretrain phase.
 """
 
 import importlib.util
@@ -13,7 +14,7 @@ from pathlib import Path
 
 from trihead.assets import asset_path
 from trihead.data import load_dataset
-from trihead.encoder import EncoderConfig
+from trihead.encoder import EncoderConfig, PretrainSchedule
 from trihead.textpipe import build_vocab, normalize
 from trihead.train import TrainConfig
 
@@ -56,3 +57,27 @@ def test_tracer_patches_a_train_and_a_predict():
     assert layers["autograd.grad_dtype_mismatch"] == 0
     assert len(clock.steps) == 2  # 16 rows in batches of 8
     assert len(clock.chunks) == 2  # one dev eval, one predict
+
+
+def test_tracer_stamps_and_phases_every_pretraining_step():
+    tracing = load_tracing()
+    corpus = [ex.text for ex in load_dataset(asset_path("synth_train.tsv"))[:16]]
+    vocab = build_vocab([normalize(text) for text in corpus], target_size=120)
+    config = EncoderConfig(vocab_size=vocab.size, d_model=16, n_layers=1,
+                           n_heads=2, d_ff=32, max_len=12)
+    module = sys.modules["trihead.encoder"]
+    tracer, clock = tracing.Tracer(), tracing.StepClock()
+    tracer.install()
+    clock.install()
+    try:
+        _, losses = module.pretrain_mlm(corpus, vocab, config,
+                                        PretrainSchedule(steps=3, batch_size=4))
+    finally:
+        clock.uninstall()
+        tracer.uninstall()
+
+    assert len(losses) == len(clock.steps) == 3
+    # the extra holds pretraining's own time only when its AdamW steps ran
+    # under the pretrain phase
+    _, extra = tracing.layer_metrics(tracer, "train")
+    assert extra["encoder.pretrain_self_ms"] > 0

@@ -224,7 +224,7 @@ def test_freeze_that_matches_nothing_or_everything_is_a_config_error(
     def must_not_step(*args):
         raise AssertionError("a training step ran")
 
-    monkeypatch.setattr(importlib.import_module("trihead.train"), "optimizer_step",
+    monkeypatch.setattr(importlib.import_module("trihead.optim").AdamW, "step",
                         must_not_step)
     config = tmp_path / "run.json"
     config.write_text(json.dumps(file_values))
@@ -282,7 +282,7 @@ def test_nan_gradient_exits_4_at_the_poisoned_step(tmp_path, capsys, monkeypatch
         calls.append(len(params))
         return real_clip(params)
 
-    # both loops clip inside optim.optimizer_step, never on their own;
+    # both loops clip inside optim.run_steps, never on their own;
     # trihead.train is also the name of a function, so import the module
     assert not hasattr(importlib.import_module(module), "clip_global_norm")
     monkeypatch.setattr(importlib.import_module("trihead.optim"), "clip_global_norm",

@@ -15,6 +15,7 @@ from trihead.errors import (
     ConfigError,
     DataError,
     DivergenceError,
+    NonFiniteError,
 )
 from trihead.metrics import TASK_LABELS, TASKS, TriLabel
 from trihead.optim import lr_at
@@ -126,6 +127,16 @@ def test_train_config_rejects_bad_values():
         PretrainSchedule(seed=-1)
 
 
+@pytest.mark.parametrize("freeze", ["pooler.", "he"])
+def test_freeze_given_as_a_string_is_a_config_error(freeze):
+    # tuple("pooler.") would freeze one-letter prefixes: "o" matches nothing,
+    # and "h" and "e" together match every head and encoder tensor
+    with pytest.raises(ConfigError) as err:
+        cfg(freeze=freeze)
+    assert str(err.value) == f"freeze must be a list of prefixes, not the string {freeze!r}"
+    assert cfg(freeze=[freeze]).freeze == (freeze,)
+
+
 def test_pretrain_schedule_rejects_a_negative_warmup_as_train_config_does():
     for make in (cfg, PretrainSchedule):
         with pytest.raises(ConfigError, match="^warmup_steps must be nonnegative$"):
@@ -223,14 +234,14 @@ def test_training_step_graph_has_at_most_69_nodes(monkeypatch):
     # the acceptance shape: d=32, L=16, batch 8, two layers, attention
     # pooler; projections are one linear node each and heads split and
     # merge in one node, so layout moves do not pad the graph
-    module = importlib.import_module("trihead.train")
-    real, sizes = module.optimizer_step, []
+    optim = importlib.import_module("trihead.optim")
+    real, sizes = optim.backward, []
 
-    def measure_then_step(opt, loss, step, lr):
+    def measure_then_backward(loss):
         sizes.append(graph_size(loss))
-        return real(opt, loss, step, lr)
+        return real(loss)
 
-    monkeypatch.setattr(module, "optimizer_step", measure_then_step)
+    monkeypatch.setattr(optim, "backward", measure_then_backward)
     data = toy_dataset(8)
     train(data, cfg(epochs=1, batch_size=8),
           *toy_init(data, d_model=32, n_layers=2, d_ff=64, max_len=16))
@@ -241,15 +252,14 @@ def test_training_step_graph_has_at_most_69_nodes(monkeypatch):
 def test_every_gradient_of_a_training_step_is_float32(monkeypatch):
     # the CLI's default width, two layers: every op keeps float32, so every
     # parameter's gradient does too
-    module = importlib.import_module("trihead.train")
-    real, dtypes = module.optimizer_step, {}
+    adamw = importlib.import_module("trihead.optim").AdamW
+    real, dtypes = adamw.step, {}
 
-    def step_then_read(opt, loss, step, lr):
-        value = real(opt, loss, step, lr)
+    def step_then_read(opt, lr):
+        real(opt, lr)
         dtypes.update((k, p.grad.dtype) for k, p in opt.params.items() if p.grad is not None)
-        return value
 
-    monkeypatch.setattr(module, "optimizer_step", step_then_read)
+    monkeypatch.setattr(adamw, "step", step_then_read)
     data = toy_dataset(8)
     train(data, cfg(epochs=1, batch_size=8),
           *toy_init(data, d_model=64, n_layers=2, d_ff=128, max_len=48))
@@ -281,6 +291,33 @@ def test_divergence_is_reported_with_step():
         train(data, cfg(epochs=40, batch_size=8, base_lr=1e12, seed=0),
               *toy_init(data))
     assert err.value.step >= 1
+
+
+@pytest.mark.parametrize("module", ["trihead.train", "trihead.encoder"],
+                         ids=["train", "pretrain"])
+def test_a_forward_that_overflows_at_the_third_step_diverges_at_step_2(monkeypatch, module):
+    data = toy_dataset(8)
+    config, vocab = toy_init(data)
+    module = importlib.import_module(module)
+    real, calls = module.encode_batch, []
+
+    def overflow_at_the_third_call(*args, **kwargs):
+        calls.append(args[0].token_ids.shape[0])
+        if len(calls) == 3:
+            raise NonFiniteError("softmax: input contains NaN or Inf")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, "encode_batch", overflow_at_the_third_call)
+    with pytest.raises(DivergenceError) as err:
+        if module.__name__ == "trihead.train":
+            # two steps an epoch, so the third opens the second epoch
+            module.train(data, cfg(epochs=3, batch_size=4), config, vocab)
+        else:
+            module.pretrain_mlm([ex.text for ex in data], vocab, config,
+                                PretrainSchedule(steps=5, batch_size=4))
+    assert err.value.step == 2
+    assert str(err.value) == "non-finite loss at step 2"
+    assert calls == [4, 4, 4]
 
 
 def test_dev_split_tracks_best_epoch():
