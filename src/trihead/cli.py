@@ -113,7 +113,8 @@ def _load_run_config(args, given=None) -> SimpleNamespace:
 
 def _given_values(args) -> dict:
     """The config keys given in the file or as flags, with their values;
-    a flag wins over the file."""
+    a flag wins over the file. A path key (default None) given as "" is a
+    ConfigError, not a path left out."""
     table = _COMMAND_KEYS[args.command]
     merged: dict = {}
     if args.config is not None:
@@ -138,6 +139,9 @@ def _given_values(args) -> dict:
                                   f"got {json.dumps(value)}")
         merged.update(file_values)
     merged.update({k: v for k, v in vars(args).items() if k in table and v is not None})
+    for key, value in merged.items():
+        if value == "" and table[key] is None:
+            raise ConfigError(f"{key!r} is an empty path (flag or config key)")
     return merged
 
 

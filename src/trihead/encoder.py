@@ -149,28 +149,13 @@ def _attention(x, mask_bias, params, prefix, config):
     return linear(ctx, params[prefix + "wo"], params[prefix + "bo"])
 
 
-class _FullWidthDraws:
-    """The rng a dropout over B×L×d activations sees: each draw is made at
-    B×max_len×d and cut to the first L positions."""
-
-    def __init__(self, rng, max_len: int):
-        self._rng, self._max_len = rng, max_len
-
-    def random(self, shape):
-        b, width, d = shape
-        return self._rng.random((b, self._max_len, d))[:, :width]
-
-
 def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
                  mode: str = "eval", rng=None):
     """Run the stack; returns H of shape B×L×d, for any L up to max_len.
 
     Padded key positions get a large negative score bias, so unmasked
-    positions never attend to padding. Dropout fires only in train mode.
-    Its three masks are drawn at B×max_len×d and cut to the batch's L, so
-    the rng ends in the same state, and every position keeps the same
-    mask entries, whether the batch is cut to its longest row or padded
-    to max_len.
+    positions never attend to padding. Dropout fires only in train mode,
+    where rng draws its 1 + 2·n_layers masks at the batch's own B×L×d.
     """
     if mode not in ("train", "eval"):
         raise ConfigError(f"mode must be 'train' or 'eval', got {mode!r}")
@@ -183,8 +168,6 @@ def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
     training = mode == "train"
     if training and config.dropout_p > 0.0 and rng is None:
         raise ConfigError("train-mode encode_batch needs an rng for dropout")
-    if training and rng is not None:
-        rng = _FullWidthDraws(rng, config.max_len)
 
     pos = embedding_lookup(params["pos_emb"], np.arange(l))
     x = add(embedding_lookup(params["tok_emb"], ids), pos)

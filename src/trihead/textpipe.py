@@ -73,12 +73,18 @@ def read_utf8(path, newline=None) -> str:
 
 
 class EmojiMap:
-    """Emoji sequence → replacement words, loaded from a two-column TSV."""
+    """Emoji sequence → replacement words, loaded from a two-column TSV.
+
+    Each key holds an emoji or a punctuation mark, which normalize always
+    removes, so no key survives into a second pass (normalize's
+    idempotence); emoticons such as ":)" qualify."""
 
     def __init__(self, entries: Mapping[str, str]):
         for key, repl in entries.items():
             if not key:
                 raise DataError("emoji map: empty key")
+            if not _EMOJI_RE.search(key) and _strip_punctuation(key) == key:
+                raise DataError(f"emoji map: key {key!r} holds no emoji or punctuation")
             if _EMOJI_RE.search(repl):
                 raise DataError(f"emoji map: replacement for {key!r} still contains emoji")
         self.entries = dict(entries)

@@ -177,9 +177,9 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     Deterministic: the seed drives init, batch order, and dropout through
     independent streams, so identical (seed, config, data) means identical
     parameters.
-    Each batch is cut to its longest real row (EncodedBatch.cut). Dropout
-    masks are drawn at full max_len width (encode_batch), so the cut moves
-    no random draw; a step's loss and gradients differ from a full-width
+    Each batch is cut to its longest real row (EncodedBatch.cut), and
+    dropout draws one uniform per activation the cut batch holds. With
+    dropout off, a step's loss and gradients differ from a full-width
     step's in their last bits at most, because BLAS sums a shorter row in
     another order.
     """

@@ -182,6 +182,44 @@ def test_pretrain_without_out_stops_before_training(capsys, monkeypatch):
     assert "--out" in err
 
 
+# every path key, by command, with the flag that sets it
+PATH_FLAGS = {"data": "--data", "dev": "--dev", "out": "--out", "encoder": "--encoder",
+              "emoji_map": "--emoji-map"}
+PATH_KEYS = [(command, key) for command, table in _COMMAND_KEYS.items()
+             for key, default in table.items() if default is None]
+
+
+@pytest.mark.parametrize("form", ["flag", "file"])
+@pytest.mark.parametrize("command, key", PATH_KEYS, ids=[f"{c}-{k}" for c, k in PATH_KEYS])
+def test_an_empty_path_is_a_config_error_naming_its_key(tmp_path, capsys, monkeypatch,
+                                                         command, key, form):
+    monkeypatch.chdir(tmp_path)
+    flag = "--corpus" if (command, key) == ("pretrain", "data") else PATH_FLAGS[key]
+    # what the command needs besides; a flag would win over the file's ""
+    needs = {"train": {"--data": TRAIN_TSV, "--out": "run"},
+             "pretrain": {"--corpus": CORPUS_TXT, "--out": "run", "--steps": "1"},
+             "eval": {"--model": "model.ckpt", "--data": DEV_TSV},
+             "stats": {"--data": TRAIN_TSV}}[command]
+    needs[flag] = ""
+    if form == "file":
+        del needs[flag]
+        (tmp_path / "c.json").write_text(json.dumps({key: ""}))
+        needs["--config"] = "c.json"
+    code, out, err = run(capsys, command, *(x for pair in needs.items() for x in pair))
+    assert (code, out) == (2, "")
+    assert f"error: {key!r} is an empty path" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == (["c.json"] if form == "file" else [])
+
+
+def test_an_emoji_map_key_normalize_keeps_exits_3(tmp_path, capsys):
+    emoji_map = tmp_path / "emoji.tsv"
+    emoji_map.write_text("a\tab\n", encoding="utf-8")
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, *FAST,
+                       "--emoji-map", str(emoji_map))
+    assert code == 3
+    assert "emoji map: key 'a' holds no emoji or punctuation" in err
+
+
 @pytest.mark.parametrize("command, argv, run_name", [
     ("train", ["--data", TRAIN_TSV, *FAST], "train"),
     ("pretrain", ["--corpus", CORPUS_TXT, "--steps", "3"], "pretrain_mlm"),
@@ -577,6 +615,15 @@ def test_hand_edited_checkpoint_is_a_data_error(trained, tmp_path, capsys,
             code, _, err = run(capsys, *argv)
         assert code == 3
         assert message in err
+
+
+def test_a_checkpoint_whose_emoji_map_key_normalize_keeps_exits_3(trained, tmp_path,
+                                                                   capsys):
+    bad = edit_checkpoint(trained, tmp_path / "bad.ckpt",
+                          lambda h: h["meta"].update(emoji_map={"ab": "x"}), 0)
+    code, _, err = run(capsys, "eval", "--model", str(bad), "--data", DEV_TSV)
+    assert code == 3
+    assert "emoji map: key 'ab' holds no emoji or punctuation" in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")

@@ -144,6 +144,19 @@ def test_train_mode_needs_rng_and_uses_dropout():
     assert not np.array_equal(h_train.data, h_eval.data)
 
 
+def test_train_mode_draws_dropout_at_the_cut_width():
+    config = small_config(n_layers=2, max_len=6, dropout_p=0.3)
+    params = init_encoder_params(config, seed=4)
+    batch = make_batch([[2, 4, 5], [2, 7], [2, 4, 5, 6, 3]], max_len=6).cut([0, 1])
+    b, l = batch.token_ids.shape
+    assert l == 3 < config.max_len
+    rng, twin = np.random.default_rng(11), np.random.default_rng(11)
+    encode_batch(batch, params, config, mode="train", rng=rng)
+    for _ in range(1 + 2 * config.n_layers):
+        twin.random((b, l, config.d_model))
+    assert np.array_equal(rng.random(8), twin.random(8))
+
+
 def test_bad_mode_rejected():
     config = small_config()
     params = init_encoder_params(config, seed=0)
@@ -233,11 +246,12 @@ def test_pretrain_trace_is_seed_deterministic():
 
 def test_a_cut_pretraining_step_matches_the_full_width_step(step_tap):
     # the batch this seed draws leaves out the 19-position row, so it is
-    # cut below the corpus's longest row as well as below max_len
+    # cut below the corpus's longest row as well as below max_len; dropout
+    # is off, as its masks are drawn at the batch's own width
     corpus = [*CORPUS, " ".join(CORPUS)]
     vocab = build_vocab(corpus, target_size=80)
     config = EncoderConfig(vocab_size=vocab.size, d_model=64, n_layers=2,
-                           n_heads=2, d_ff=128, max_len=48, dropout_p=0.3)
+                           n_heads=2, d_ff=128, max_len=48, dropout_p=0.0)
 
     def one_step():
         params, losses = pretrain_mlm(corpus, vocab, config,

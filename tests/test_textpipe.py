@@ -1,5 +1,6 @@
 """Cleanup, vocabulary, encoding, and oversampling behaviour."""
 
+import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
@@ -158,6 +159,23 @@ def test_emoji_map_rejects_duplicate_keys(tmp_path):
 def test_emoji_map_rejects_emoji_in_replacement():
     with pytest.raises(DataError, match="contains emoji"):
         EmojiMap({"\U0001f525": "\U0001f602"})
+
+
+@pytest.mark.parametrize("key", ["a", "ab", "x y", "\u00e9", "+"])
+def test_emoji_map_rejects_a_key_normalize_keeps(key):
+    # {"a": "ab"} turned "a cat" into "ab c ab t", and a second pass into
+    # "ab b c ab b t"; {"ab": "x"} turned "a.b" into "ab", then into "x"
+    message = f"key {key!r} holds no emoji or punctuation"
+    with pytest.raises(DataError, match=re.escape(message)):
+        EmojiMap({key: "ab"})
+
+
+def test_emoji_map_takes_emoticon_keys_and_normalize_stays_idempotent():
+    m = EmojiMap({":)": "khushi", "a.b": "x", "\U0001f525": "agun"})
+    for raw in ("a :) cat", "a.b:)", "ki \U0001f525 a.b"):
+        once = normalize(raw, m)
+        assert normalize(once, m) == once
+    assert normalize("a :) cat", m) == "a khushi cat"
 
 
 # ---------------------------------------------------------------------------
