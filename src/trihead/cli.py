@@ -111,10 +111,17 @@ def _load_run_config(args, given=None) -> SimpleNamespace:
     return SimpleNamespace(**{**_COMMAND_KEYS[args.command], **given})
 
 
+# the path flags that set no config key
+_PATH_FLAGS = ("config", "model", "input", "output", "gold", "pred")
+
+
 def _given_values(args) -> dict:
     """The config keys given in the file or as flags, with their values;
-    a flag wins over the file. A path key (default None) given as "" is a
-    ConfigError, not a path left out."""
+    a flag wins over the file. A path key (default None) or path flag given
+    as "" is a ConfigError, not a path left out."""
+    for name in _PATH_FLAGS:
+        if getattr(args, name, None) == "":
+            raise ConfigError(f"--{name} is an empty path")
     table = _COMMAND_KEYS[args.command]
     merged: dict = {}
     if args.config is not None:

@@ -166,8 +166,6 @@ def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
     if ids.max() >= config.vocab_size:
         raise IndexError(f"token id {ids.max()} out of range [0, {config.vocab_size})")
     training = mode == "train"
-    if training and config.dropout_p > 0.0 and rng is None:
-        raise ConfigError("train-mode encode_batch needs an rng for dropout")
 
     pos = embedding_lookup(params["pos_emb"], np.arange(l))
     x = add(embedding_lookup(params["tok_emb"], ids), pos)

@@ -110,6 +110,29 @@ def test_softmax_rejects_nonfinite():
         softmax(Tensor([1.0, float("nan")]))
 
 
+def test_float32_erf_is_within_5e_7_of_math_erf():
+    # normal draws, a dense grid past the clamp at ±4, tiny magnitudes, the ends
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(np.float32).smallest_subnormal
+    z = np.concatenate([rng.standard_normal(200_000) * 2, np.linspace(0, 8, 200_001),
+                        np.geomspace(1e-37, 1e-3, 2_000), [tiny, 3e38, np.inf]])
+    z = z.astype(np.float32)
+    z = np.concatenate([z, -z])
+    got = autograd._erf(z)
+    want = np.array([math.erf(v) for v in z.tolist()])
+    assert got.dtype == np.float32
+    assert np.abs(got - want).max() <= 5e-7
+
+
+def test_float64_gelu_is_the_math_erf_formula_bit_for_bit():
+    x = np.concatenate([np.linspace(-6, 6, 1_201), [1e-300, -1e-300, 0.7071067811865476]])
+    got = gelu(Tensor(x, dtype=np.float64)).data
+    inv_sqrt2 = 1 / math.sqrt(2)  # gelu scales by the reciprocal, as written here
+    want = np.array([v * 0.5 * (1 + math.erf(v * inv_sqrt2)) for v in x.tolist()])
+    assert got.dtype == np.float64
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
 def test_cross_entropy_uniform_logits():
     # equal logits over 3 classes: loss is ln 3 regardless of the target
     logits = Tensor(np.zeros((4, 3)), dtype=np.float64)

@@ -182,6 +182,13 @@ def test_pretrain_without_out_stops_before_training(capsys, monkeypatch):
     assert "--out" in err
 
 
+# what each command needs besides; the flag under test overrides its entry
+COMMAND_NEEDS = {"train": {"--data": TRAIN_TSV, "--out": "run"},
+                 "pretrain": {"--corpus": CORPUS_TXT, "--out": "run", "--steps": "1"},
+                 "eval": {"--model": "model.ckpt", "--data": DEV_TSV},
+                 "predict": {"--model": "model.ckpt", "--input": DEV_TSV, "--output": "p.tsv"},
+                 "score": {"--gold": DEV_TSV, "--pred": DEV_TSV},
+                 "stats": {"--data": TRAIN_TSV}}
 # every path key, by command, with the flag that sets it
 PATH_FLAGS = {"data": "--data", "dev": "--dev", "out": "--out", "encoder": "--encoder",
               "emoji_map": "--emoji-map"}
@@ -195,13 +202,8 @@ def test_an_empty_path_is_a_config_error_naming_its_key(tmp_path, capsys, monkey
                                                          command, key, form):
     monkeypatch.chdir(tmp_path)
     flag = "--corpus" if (command, key) == ("pretrain", "data") else PATH_FLAGS[key]
-    # what the command needs besides; a flag would win over the file's ""
-    needs = {"train": {"--data": TRAIN_TSV, "--out": "run"},
-             "pretrain": {"--corpus": CORPUS_TXT, "--out": "run", "--steps": "1"},
-             "eval": {"--model": "model.ckpt", "--data": DEV_TSV},
-             "stats": {"--data": TRAIN_TSV}}[command]
-    needs[flag] = ""
-    if form == "file":
+    needs = {**COMMAND_NEEDS[command], flag: ""}
+    if form == "file":  # a flag would win over the file's ""
         del needs[flag]
         (tmp_path / "c.json").write_text(json.dumps({key: ""}))
         needs["--config"] = "c.json"
@@ -209,6 +211,23 @@ def test_an_empty_path_is_a_config_error_naming_its_key(tmp_path, capsys, monkey
     assert (code, out) == (2, "")
     assert f"error: {key!r} is an empty path" in err
     assert sorted(p.name for p in tmp_path.iterdir()) == (["c.json"] if form == "file" else [])
+
+
+# every path flag that sets no config key, by command
+PATH_ONLY_FLAGS = [(command, "--config") for command in COMMAND_NEEDS] + [
+    ("eval", "--model"), ("predict", "--model"), ("predict", "--input"),
+    ("predict", "--output"), ("score", "--gold"), ("score", "--pred")]
+
+
+@pytest.mark.parametrize("command, flag", PATH_ONLY_FLAGS,
+                         ids=[f"{c}-{f[2:]}" for c, f in PATH_ONLY_FLAGS])
+def test_an_empty_path_flag_is_a_config_error_naming_it(tmp_path, capsys, monkeypatch,
+                                                         command, flag):
+    monkeypatch.chdir(tmp_path)
+    needs = {**COMMAND_NEEDS[command], flag: ""}
+    code, out, err = run(capsys, command, *(x for pair in needs.items() for x in pair))
+    assert (code, out, err) == (2, "", f"error: {flag} is an empty path\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_an_emoji_map_key_normalize_keeps_exits_3(tmp_path, capsys):
