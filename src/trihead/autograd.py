@@ -32,15 +32,15 @@ _ERF_Q = tuple(np.float32(c) for c in (
     -1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
     -7.37332916720468e-03, -1.42647390514189e-02))
 _MATH_ERF = np.frompyfunc(math.erf, 1, 1)
+_LN_EPS = 1e-5  # added to layer_norm's variance
 
 
 class Node:
     """One recorded operation: inputs and how to push gradient back to them."""
 
-    __slots__ = ("op", "inputs", "backward_fn")
+    __slots__ = ("inputs", "backward_fn")
 
-    def __init__(self, op, inputs, backward_fn):
-        self.op = op
+    def __init__(self, inputs, backward_fn):
         self.inputs = inputs
         self.backward_fn = backward_fn
 
@@ -94,12 +94,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}{flag})"
 
 
-def _from_op(op, data, inputs, backward_fn):
+def _from_op(data, inputs, backward_fn):
     out = Tensor.__new__(Tensor)
     out.data = data
     out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
-    out.node = Node(op, inputs, backward_fn) if out.requires_grad else None
+    out.node = Node(inputs, backward_fn) if out.requires_grad else None
     return out
 
 
@@ -124,7 +124,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _from_op("add", data, (a, b), backward)
+    return _from_op(data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -134,7 +134,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     def backward(g):
         return (g * c,)
 
-    return _from_op("scale", data, (a,), backward)
+    return _from_op(data, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -150,7 +150,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
-    return _from_op("matmul", data, (a, b), backward)
+    return _from_op(data, (a, b), backward)
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -166,7 +166,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         g2 = g.reshape(-1, w.shape[1])
         return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
 
-    return _from_op("linear", data, (x, w, b), backward)
+    return _from_op(data, (x, w, b), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -176,7 +176,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         return (g.reshape(a.shape),)
 
-    return _from_op("reshape", data, (a,), backward)
+    return _from_op(data, (a,), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -186,7 +186,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     def backward(g):
         return (g.transpose(inverse),)
 
-    return _from_op("transpose", data, (a,), backward)
+    return _from_op(data, (a,), backward)
 
 
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
@@ -198,7 +198,7 @@ def split_heads(x: Tensor, n_heads: int) -> Tensor:
     def backward(g):
         return (g.transpose(0, 2, 1, 3).reshape(x.shape),)
 
-    return _from_op("split_heads", data, (x,), backward)
+    return _from_op(data, (x,), backward)
 
 
 def merge_heads(x: Tensor) -> Tensor:
@@ -209,7 +209,7 @@ def merge_heads(x: Tensor) -> Tensor:
     def backward(g):
         return (g.reshape(b, l, nh, dh).transpose(0, 2, 1, 3),)
 
-    return _from_op("merge_heads", data, (x,), backward)
+    return _from_op(data, (x,), backward)
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
@@ -226,7 +226,7 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
         inner = (g * y).sum(axis=axis, keepdims=True)
         return (y * (g - inner),)
 
-    return _from_op("softmax", y, (x,), backward)
+    return _from_op(y, (x,), backward)
 
 
 def _horner(z2, coeffs):
@@ -261,15 +261,15 @@ def gelu(x: Tensor) -> Tensor:
         pdf = np.exp(-0.5 * x.data * x.data) * inv_sqrt2pi
         return (g * (cdf + x.data * pdf),)
 
-    return _from_op("gelu", data, (x,), backward)
+    return _from_op(data, (x,), backward)
 
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Tensor:
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     """Normalize the last axis to mean 0, variance 1, then apply the affine."""
     mu = x.data.mean(axis=-1, keepdims=True)
     centered = x.data - mu
     var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
     xhat = centered * inv_std
     data = xhat * gamma.data + beta.data
 
@@ -282,7 +282,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float = 1e-5) -> Ten
         gx = inv_std * (gxhat - m1 - xhat * m2)
         return gx.astype(x.dtype, copy=False), ggamma, gbeta
 
-    return _from_op("layer_norm", data, (x, gamma, beta), backward)
+    return _from_op(data, (x, gamma, beta), backward)
 
 
 def dropout(x: Tensor, p: float, *, training: bool = False, rng=None) -> Tensor:
@@ -304,7 +304,7 @@ def dropout(x: Tensor, p: float, *, training: bool = False, rng=None) -> Tensor:
     def backward(g):
         return (g * keep,)
 
-    return _from_op("dropout", data, (x,), backward)
+    return _from_op(data, (x,), backward)
 
 
 def embedding_lookup(table: Tensor, ids) -> Tensor:
@@ -324,7 +324,7 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
         np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.shape[1]))
         return (buf,)
 
-    return _from_op("embedding_lookup", data, (table,), backward)
+    return _from_op(data, (table,), backward)
 
 
 def cross_entropy(logits: Tensor, targets) -> Tensor:
@@ -355,7 +355,7 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         p[rows, targets] -= 1.0
         return ((g / b) * p.astype(logits.dtype, copy=False),)
 
-    return _from_op("cross_entropy", data, (logits,), backward)
+    return _from_op(data, (logits,), backward)
 
 
 # ---------------------------------------------------------------------------

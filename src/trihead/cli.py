@@ -2,9 +2,11 @@
 
 Every run is a single non-interactive process. Settings come from an
 optional flat JSON config file; explicitly-given flags win over file
-values, file values win over built-in defaults. The seed in effect is
-printed at the top of every report so a result can always be traced back
-to its run.
+values, file values win over built-in defaults. Every config key a command
+reads (_COMMAND_KEYS) is also a flag, "--" plus the key with "_" turned
+into "-" (a few older names in _FLAG_NAMES), except freeze, a list, which
+only the file sets. The seed in effect is printed at the top of every
+report so a result can always be traced back to its run.
 
 Exit codes: 0 success, 2 configuration problem (bad flag, bad config key),
 3 data problem (unreadable file, bad label, missing prediction), 4 the
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -111,16 +114,31 @@ def _load_run_config(args, given=None) -> SimpleNamespace:
     return SimpleNamespace(**{**_COMMAND_KEYS[args.command], **given})
 
 
-# the path flags that set no config key
-_PATH_FLAGS = ("config", "model", "input", "output", "gold", "pred")
+# the required path flags that set no config key, by command
+_PATH_FLAGS = {"eval": ("model",), "predict": ("model", "input", "output"),
+               "score": ("gold", "pred")}
+
+# the flags whose names predate the rule that a key's flag is "--" plus the
+# key with "_" turned into "-"
+_FLAG_NAMES = {
+    "train": {"dropout_p": "--dropout"},
+    "pretrain": {"dropout_p": "--dropout", "data": "--corpus", "pretrain_steps": "--steps",
+                 "pretrain_batch_size": "--batch-size", "pretrain_lr": "--lr",
+                 "pretrain_mask_rate": "--mask-rate"},
+}
+
+
+def _flag(command: str, key: str) -> str:
+    """The flag that sets a config key of command."""
+    return _FLAG_NAMES.get(command, {}).get(key) or "--" + key.replace("_", "-")
 
 
 def _given_values(args) -> dict:
     """The config keys given in the file or as flags, with their values;
     a flag wins over the file. A path key (default None) or path flag given
     as "" is a ConfigError, not a path left out."""
-    for name in _PATH_FLAGS:
-        if getattr(args, name, None) == "":
+    for name in ("config", *_PATH_FLAGS.get(args.command, ())):
+        if getattr(args, name) == "":
             raise ConfigError(f"--{name} is an empty path")
     table = _COMMAND_KEYS[args.command]
     merged: dict = {}
@@ -152,10 +170,10 @@ def _given_values(args) -> dict:
     return merged
 
 
-def _require(cfg: SimpleNamespace, field: str, flag: str) -> str:
-    value = getattr(cfg, field)
+def _require(cfg: SimpleNamespace, key: str, command: str) -> str:
+    value = getattr(cfg, key)
     if value is None:
-        raise ConfigError(f"missing {flag} (flag or config key {field!r})")
+        raise ConfigError(f"missing {_flag(command, key)} (flag or config key {key!r})")
     return value
 
 
@@ -184,15 +202,14 @@ def _check_warm_shape(given: dict, warm, path) -> None:
     have["vocab_target_size"] = ("vocabulary size", warm.vocab.size)
     for key, (what, value) in have.items():
         if key in given and given[key] != value:
-            flag = "--" + key.replace("_", "-")
-            raise ConfigError(f"{flag} {given[key]} differs from the {what} {value} "
-                              f"--encoder {path} was pretrained with")
+            raise ConfigError(f"{_flag('train', key)} {given[key]} differs from the {what} "
+                              f"{value} --encoder {path} was pretrained with")
 
 
 def cmd_train(args) -> int:
     given = _given_values(args)
     cfg = _load_run_config(args, given)
-    dataset = load_dataset(_require(cfg, "data", "--data"))
+    dataset = load_dataset(_require(cfg, "data", args.command))
     dev = load_dataset(cfg.dev) if cfg.dev else None
     emoji_map = _load_emoji_map(cfg)
 
@@ -244,13 +261,25 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     checkpoint = load_checkpoint(args.model)
-    dataset = load_dataset(_require(cfg, "data", "--data"))
+    dataset = load_dataset(_require(cfg, "data", args.command))
     _print_report(evaluate(checkpoint, dataset), cfg.seed)
     return 0
 
 
+def _check_output(args) -> None:
+    """predict's --output must not be a directory, nor a file it reads."""
+    if os.path.isdir(args.output):
+        raise ConfigError(f"--output {args.output} is a directory")
+    if not os.path.exists(args.output):
+        return
+    for flag, path in (("--model", args.model), ("--input", args.input)):
+        if os.path.exists(path) and os.path.samefile(args.output, path):
+            raise ConfigError(f"--output {args.output} is the same file as {flag} {path}")
+
+
 def cmd_predict(args) -> int:
     cfg = _load_run_config(args)
+    _check_output(args)
     checkpoint = load_checkpoint(args.model)
     pairs = load_prediction_input(args.input)
     labels = predict(checkpoint, [text for _, text in pairs])
@@ -279,14 +308,15 @@ def cmd_score(args) -> int:
 
 def cmd_stats(args) -> int:
     cfg = _load_run_config(args)
-    _print_report(class_distribution(load_dataset(_require(cfg, "data", "--data"))), cfg.seed)
+    dataset = load_dataset(_require(cfg, "data", args.command))
+    _print_report(class_distribution(dataset), cfg.seed)
     return 0
 
 
 def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
-    corpus_path = _require(cfg, "data", "--corpus")
-    out = Path(_require(cfg, "out", "--out"))
+    corpus_path = _require(cfg, "data", args.command)
+    out = Path(_require(cfg, "out", args.command))
     try:
         raw = read_utf8(corpus_path)
     except OSError as e:
@@ -323,22 +353,29 @@ def cmd_pretrain(args) -> int:
 # argument parsing
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", default=None,
-                   help="flat JSON file of config keys this command reads")
-    p.add_argument("--seed", type=int, default=None)
+# the commands in the order `trihead --help` lists them, with their help
+_COMMANDS = {
+    "train": (cmd_train, "fine-tune a classifier on a labeled TSV"),
+    "eval": (cmd_eval, "score a checkpoint against a labeled TSV"),
+    "predict": (cmd_predict, "label new texts with a checkpoint"),
+    "score": (cmd_score, "score a prediction file against gold labels"),
+    "stats": (cmd_stats, "print the class distribution of a dataset"),
+    "pretrain": (cmd_pretrain, "train an encoder on raw sentences"),
+}
 
-
-def _add_model_shape_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--d-model", dest="d_model", type=int, default=None)
-    p.add_argument("--n-layers", dest="n_layers", type=int, default=None)
-    p.add_argument("--n-heads", dest="n_heads", type=int, default=None)
-    p.add_argument("--d-ff", dest="d_ff", type=int, default=None)
-    p.add_argument("--max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--dropout", dest="dropout_p", type=float, default=None)
-    p.add_argument("--vocab-target-size", dest="vocab_target_size",
-                   type=int, default=None)
-    p.add_argument("--emoji-map", dest="emoji_map", default=None)
+# the help of a flag, by command and config key or path flag
+_HELP = {
+    ("train", "data"): "labeled training TSV",
+    ("train", "dev"): "labeled dev TSV for model selection",
+    ("train", "out"): "directory for checkpoint + trace",
+    ("train", "encoder"): "warm-start from a pretrained encoder checkpoint "
+                          "(its vocabulary, shape and emoji map take over)",
+    ("train", "balance"): "oversample rarer aggression classes to parity",
+    ("predict", "input"): "id/text TSV (labels, if present, are ignored)",
+    ("predict", "output"): "labeled TSV to write",
+    ("pretrain", "data"): "plain text file, one sentence per line",
+    ("pretrain", "out"): "directory for the encoder checkpoint",
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -347,62 +384,22 @@ def build_parser() -> argparse.ArgumentParser:
         description="Train and evaluate the three-task comment classifier.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("train", help="fine-tune a classifier on a labeled TSV")
-    p.add_argument("--data", default=None, help="labeled training TSV")
-    p.add_argument("--dev", default=None, help="labeled dev TSV for model selection")
-    p.add_argument("--out", default=None, help="directory for checkpoint + trace")
-    p.add_argument("--pooler", choices=POOLER_KINDS, default=None)
-    p.add_argument("--encoder", default=None,
-                   help="warm-start from a pretrained encoder checkpoint "
-                        "(its vocabulary, shape and emoji map take over)")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", dest="batch_size", type=int, default=None)
-    p.add_argument("--base-lr", dest="base_lr", type=float, default=None)
-    p.add_argument("--warmup-steps", dest="warmup_steps", type=int, default=None)
-    p.add_argument("--balance", action="store_true", default=None,
-                   help="oversample rarer aggression classes to parity")
-    _add_model_shape_flags(p)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_train)
-
-    p = sub.add_parser("eval", help="score a checkpoint against a labeled TSV")
-    p.add_argument("--model", required=True)
-    p.add_argument("--data", default=None)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("predict", help="label new texts with a checkpoint")
-    p.add_argument("--model", required=True)
-    p.add_argument("--input", required=True,
-                   help="id/text TSV (labels, if present, are ignored)")
-    p.add_argument("--output", required=True, help="labeled TSV to write")
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_predict)
-
-    p = sub.add_parser("score", help="score a prediction file against gold labels")
-    p.add_argument("--gold", required=True)
-    p.add_argument("--pred", required=True)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_score)
-
-    p = sub.add_parser("stats", help="print the class distribution of a dataset")
-    p.add_argument("--data", default=None)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("pretrain", help="train an encoder on raw sentences")
-    p.add_argument("--corpus", dest="data", default=None,
-                   help="plain text file, one sentence per line")
-    p.add_argument("--out", default=None, help="directory for the encoder checkpoint")
-    p.add_argument("--steps", dest="pretrain_steps", type=int, default=None)
-    p.add_argument("--batch-size", dest="pretrain_batch_size", type=int, default=None)
-    p.add_argument("--lr", dest="pretrain_lr", type=float, default=None)
-    p.add_argument("--mask-rate", dest="pretrain_mask_rate", type=float, default=None)
-    _add_model_shape_flags(p)
-    _add_config_flags(p)
-    p.set_defaults(func=cmd_pretrain)
-
+    for command, (func, about) in _COMMANDS.items():
+        p = sub.add_parser(command, help=about)
+        for name in _PATH_FLAGS.get(command, ()):
+            p.add_argument("--" + name, required=True, help=_HELP.get((command, name)))
+        for key, default in _COMMAND_KEYS[command].items():
+            if isinstance(default, tuple):  # freeze: a config-file key only
+                continue
+            # typed by the key's default; a path key's None takes a string
+            typed = ({"action": "store_true"} if isinstance(default, bool) else
+                     {"type": str if default is None else type(default),
+                      "choices": POOLER_KINDS if key == "pooler" else None})
+            p.add_argument(_flag(command, key), dest=key, default=None,
+                           help=_HELP.get((command, key)), **typed)
+        p.add_argument("--config", default=None,
+                       help="flat JSON file of config keys this command reads")
+        p.set_defaults(func=func)
     return parser
 
 

@@ -1,5 +1,6 @@
 """Command-line behaviour: exit codes, report formats, pipeline identities."""
 
+import argparse
 import contextlib
 import copy
 import importlib
@@ -8,6 +9,7 @@ import json
 import math
 import os
 import resource
+import shutil
 import signal
 import struct
 import subprocess
@@ -20,7 +22,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trihead.assets import asset_path
-from trihead.cli import _COMMAND_KEYS, main
+from trihead.cli import _COMMAND_KEYS, build_parser, main
 from trihead.data import load_checkpoint, load_dataset, save_checkpoint
 from trihead.encoder import EncoderConfig
 from trihead.optim import clip_global_norm
@@ -228,6 +230,74 @@ def test_an_empty_path_flag_is_a_config_error_naming_it(tmp_path, capsys, monkey
     code, out, err = run(capsys, command, *(x for pair in needs.items() for x in pair))
     assert (code, out, err) == (2, "", f"error: {flag} is an empty path\n")
     assert list(tmp_path.iterdir()) == []
+
+
+# each command's flags: the path flags that set no key, one flag per config
+# key (freeze is a config-file key only) and --config; ENCODER_FLAGS are
+# those of the keys both commands that build an encoder read
+ENCODER_FLAGS = {"--d-model", "--n-layers", "--n-heads", "--d-ff", "--max-len", "--dropout",
+               "--vocab-target-size", "--emoji-map", "--out", "--warmup-steps", "--seed"}
+COMMAND_FLAGS = {
+    "train": ENCODER_FLAGS | {"--data", "--dev", "--pooler", "--encoder", "--epochs",
+                              "--batch-size", "--base-lr", "--balance", "--config"},
+    "pretrain": ENCODER_FLAGS | {"--corpus", "--steps", "--batch-size", "--lr",
+                                 "--mask-rate", "--config"},
+    "eval": {"--model", "--data", "--seed", "--config"},
+    "predict": {"--model", "--input", "--output", "--seed", "--config"},
+    "score": {"--gold", "--pred", "--seed", "--config"},
+    "stats": {"--data", "--seed", "--config"},
+}
+
+
+def subparsers() -> dict:
+    parser = build_parser()
+    action, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def test_each_command_takes_exactly_its_flags():
+    commands = subparsers()
+    assert sorted(commands) == sorted(COMMAND_FLAGS)
+    for command, p in commands.items():
+        actions = [a for a in p._actions if a.dest != "help"]
+        assert {flag for a in actions for flag in a.option_strings} == COMMAND_FLAGS[command]
+        assert all(len(a.option_strings) == 1 for a in actions), command
+        path_only = {flag[2:] for c, flag in PATH_ONLY_FLAGS if c == command} - {"config"}
+        assert {a.dest for a in actions if a.required} == path_only, command
+        assert {a.dest for a in actions} == \
+            (set(_COMMAND_KEYS[command]) - {"freeze"}) | path_only | {"config"}, command
+
+
+KEY_FLAGS = [(command, key) for command, table in _COMMAND_KEYS.items()
+             for key in table if key != "freeze"]
+
+
+@pytest.mark.parametrize("command, key", KEY_FLAGS, ids=[f"{c}-{k}" for c, k in KEY_FLAGS])
+def test_a_key_flag_parses_into_its_key_typed_by_its_default(command, key):
+    default = _COMMAND_KEYS[command][key]
+    flag, = next(a.option_strings for a in subparsers()[command]._actions if a.dest == key)
+    given = {bool: [], int: ["7"], float: ["0.5"], str: ["mean"], type(None): ["x.tsv"]}
+    want = {bool: True, int: 7, float: 0.5, str: "mean", type(None): "x.tsv"}
+    needs = [x for pair in COMMAND_NEEDS[command].items() for x in pair if pair[0] != flag]
+    args = build_parser().parse_args([command, *needs, flag, *given[type(default)]])
+    value = getattr(args, key)
+    assert value == want[type(default)]
+    assert type(value) is (str if default is None else type(default))
+
+
+def test_pretrain_warmup_flag_equals_the_config_key(tmp_path, capsys):
+    config = tmp_path / "warmup.json"
+    config.write_text(json.dumps({"warmup_steps": 10}))
+    argv = ["pretrain", "--corpus", CORPUS_TXT, "--steps", "12", "--d-model", "16",
+            "--d-ff", "32", "--max-len", "12"]
+    for name, extra in (("flag", ["--warmup-steps", "10"]), ("file", ["--config", str(config)]),
+                        ("none", [])):
+        code, _, err = run(capsys, *argv, *extra, "--out", str(tmp_path / name))
+        assert code == 0, err
+    encoder = {name: (tmp_path / name / "encoder.ckpt").read_bytes()
+               for name in ("flag", "file", "none")}
+    assert encoder["flag"] == encoder["file"]
+    assert encoder["flag"] != encoder["none"]  # the warmup took effect
 
 
 def test_an_emoji_map_key_normalize_keeps_exits_3(tmp_path, capsys):
@@ -888,6 +958,23 @@ def test_predict_ignores_the_labels_of_a_labelled_input(trained, tmp_path, capsy
     assert [ex.id for ex in load_dataset(outp)] == ["q1"]
 
 
+@pytest.mark.parametrize("output, flag", [("model.ckpt", "--model"), ("in.tsv", "--input"),
+                                          (".", "--output")],
+                         ids=["model", "input", "directory"])
+def test_predict_output_that_clobbers_an_input_is_a_config_error(trained, tmp_path, capsys,
+                                                                 monkeypatch, output, flag):
+    monkeypatch.chdir(tmp_path)
+    shutil.copy(trained, "model.ckpt")
+    shutil.copy(DEV_TSV, "in.tsv")
+    before = {name: Path(name).read_bytes() for name in ("model.ckpt", "in.tsv")}
+    output = tmp_path / output  # an absolute spelling of a relative path is the same file
+    code, out, err = run(capsys, "predict", "--model", "model.ckpt", "--input", "in.tsv",
+                         "--output", str(output))
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: --output {output} ") and flag in err
+    assert {name: Path(name).read_bytes() for name in before} == before
+
+
 def test_gold_scored_against_itself_is_perfect(capsys):
     code, out, _ = run(capsys, "score", "--gold", DEV_TSV, "--pred", DEV_TSV)
     assert code == 0
@@ -1099,3 +1186,9 @@ def test_console_script_is_installed():
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 0
     assert "train" in proc.stdout and "score" in proc.stdout
+
+
+@pytest.mark.parametrize("command", sorted(_COMMAND_KEYS))
+def test_every_command_help_exits_0(capsys, command):
+    assert main([command, "--help"]) == 0
+    assert capsys.readouterr().out.startswith(f"usage: trihead {command} ")
