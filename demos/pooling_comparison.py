@@ -62,13 +62,11 @@ for pooler in ("attention", "mean"):
 #    aggressive sentence makes the shift easiest to see.
 
 ck = results["attention"].checkpoint
-enc_params = {k[len("encoder."):]: v for k, v in ck.params.items()
-              if k.startswith("encoder.")}
 from trihead.encoder import encode_batch  # noqa: E402
 
 overt = next(i for i, ex in enumerate(data) if ex.labels.aggression == "OAG")
 batch = batch_encode([texts[overt]], vocab, config.max_len)
-states = encode_batch(batch, enc_params, config, mode="eval")
+states = encode_batch(batch, ck.params, config, mode="eval")
 alpha = attention_weights(states, batch.attention_mask, ck.params["pooler.q"])
 tokens = [vocab.token_of(i) for i in batch.token_ids[0]]
 n = int(batch.attention_mask[0].sum())

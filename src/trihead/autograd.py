@@ -391,7 +391,9 @@ def backward(loss: Tensor) -> None:
         for inp in t.node.inputs:
             stack.append((inp, False))
 
-    # per-pass gradient buffers; leaves accumulate straight into .grad
+    # per-pass gradient buffers; leaves accumulate straight into .grad, and a
+    # leaf's first gradient is copied if it is a view (add's two can view one
+    # buffer), so no two leaves share a .grad that a clip scales in place
     pass_grads = {id(loss): np.ones_like(loss.data)}
     for t in reversed(topo):
         g = pass_grads.pop(id(t), None)
@@ -401,7 +403,10 @@ def backward(loss: Tensor) -> None:
             if gi is None or not inp.requires_grad:
                 continue
             if inp.node is None:
-                inp.grad = gi if inp.grad is None else inp.grad + gi
+                if inp.grad is None:
+                    inp.grad = gi if gi.base is None else gi.copy()
+                else:
+                    inp.grad = inp.grad + gi
             else:
                 key = id(inp)
                 if key in pass_grads:

@@ -206,6 +206,14 @@ def _check_warm_shape(given: dict, warm, path) -> None:
                               f"{value} --encoder {path} was pretrained with")
 
 
+def _make_out(out: Path) -> None:
+    """Make the --out directory; done before the run, so an --out that
+    cannot be made fails at once."""
+    if out.exists() and not out.is_dir():
+        raise ConfigError(f"--out {out} is a file, not a directory")
+    out.mkdir(parents=True, exist_ok=True)
+
+
 def cmd_train(args) -> int:
     given = _given_values(args)
     cfg = _load_run_config(args, given)
@@ -237,8 +245,8 @@ def cmd_train(args) -> int:
     # built before balance, which would fail on a seed TrainConfig rejects
     train_config = _library_config(TrainConfig, cfg)
     out = Path(cfg.out) if cfg.out else None
-    if out:  # made before the run, so an --out that cannot be made fails at once
-        out.mkdir(parents=True, exist_ok=True)
+    if out:
+        _make_out(out)
     if cfg.balance:
         dataset = balance(dataset, seed=cfg.seed)
 
@@ -267,9 +275,13 @@ def cmd_eval(args) -> int:
 
 
 def _check_output(args) -> None:
-    """predict's --output must not be a directory, nor a file it reads."""
+    """predict's --output must be a file in an existing directory, and not
+    a file it reads."""
     if os.path.isdir(args.output):
         raise ConfigError(f"--output {args.output} is a directory")
+    parent = os.path.dirname(args.output) or "."
+    if not os.path.isdir(parent):
+        raise ConfigError(f"--output {args.output} has no directory {parent}")
     if not os.path.exists(args.output):
         return
     for flag, path in (("--model", args.model), ("--input", args.input)):
@@ -331,7 +343,7 @@ def cmd_pretrain(args) -> int:
     vocab = build_vocab(sentences, target_size=cfg.vocab_target_size)
     config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
     schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
-    out.mkdir(parents=True, exist_ok=True)  # before the run, so a bad --out fails at once
+    _make_out(out)
     params, losses = pretrain_mlm(sentences, vocab, config, schedule)
 
     meta = {"seed": cfg.seed, "steps": schedule.steps,

@@ -10,7 +10,8 @@ Checkpoints are a single binary file: magic ``TRHD``, a little-endian
 u32 format version, a length-prefixed canonical-JSON header (config,
 vocabulary, parameter table, metadata), then the raw float32 parameter
 blobs in header order. The header is printable with one `jq`-able read;
-the blobs round-trip bit for bit; nothing in the file is executed.
+the blobs round-trip bit for bit; nothing in the file is executed. An
+encoder file alone names each parameter without its 'encoder.' prefix.
 """
 
 from __future__ import annotations
@@ -41,6 +42,8 @@ _LABELS = tuple(label for task in TASKS for label in TASK_LABELS[task])
 
 CHECKPOINT_MAGIC = b"TRHD"
 CHECKPOINT_VERSION = 1
+# the prefix a checkpoint file of each kind drops from every parameter name
+_FILE_PREFIX = {"model": "", "encoder": "encoder."}
 
 
 @dataclass(frozen=True)
@@ -201,7 +204,7 @@ def save_checkpoint(checkpoint: Checkpoint, path) -> None:
         "encoder_config": asdict(checkpoint.config),
         "vocab": list(checkpoint.vocab.tokens),
         "pooler": checkpoint.pooler_kind,
-        "params": [{"name": n, "shape": list(t.shape)}
+        "params": [{"name": n.removeprefix(_FILE_PREFIX[checkpoint.kind]), "shape": list(t.shape)}
                    for n, t in checkpoint.params.items()],
         "meta": {**checkpoint.meta, "emoji_map": emoji_map},
     }
@@ -323,7 +326,8 @@ def load_checkpoint(path) -> Checkpoint:
         )
     # the header's table is walked against the spec in step, so its numbers
     # never size an allocation or a loop before they have matched
-    specs = model_param_specs(config, pooler) if kind == "model" else param_specs(config)
+    specs = ((n.removeprefix(_FILE_PREFIX[kind]), shape, n) for n, shape, _ in
+             (model_param_specs(config, pooler) if kind == "model" else param_specs(config)))
     params: dict[str, Tensor] = {}
     offset = 12 + header_len
     for entry in header["params"]:
@@ -351,7 +355,7 @@ def load_checkpoint(path) -> Checkpoint:
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset).reshape(shape)
         if not np.isfinite(arr).all():
             raise CheckpointFormatError(f"{path}: parameter {name!r} contains NaN or Inf")
-        params[name] = Tensor(arr.copy(), requires_grad=True)
+        params[spec[2]] = Tensor(arr.copy(), requires_grad=True)
         offset += 4 * count
     spec = next(specs, None)
     if spec is not None:

@@ -76,16 +76,23 @@ class EncoderConfig:
         return self.d_model // self.n_heads
 
 
+def check_vocab(config: EncoderConfig, vocab: Vocab) -> None:
+    """An encoder's embedding table has one row per vocabulary token."""
+    if config.vocab_size != vocab.size:
+        raise ConfigError(f"encoder config says vocab_size {config.vocab_size}, "
+                          f"vocabulary has {vocab.size} tokens")
+
+
 def param_specs(config: EncoderConfig):
     """(name, shape, fill) for every encoder parameter, in checkpoint blob
     order; fill is 'normal' (N(0, 0.02)), 'zeros', 'ones' or 'eye'. The one
-    declaration of the table: init_encoder_params fills it, and
-    load_checkpoint checks a header against it without allocating."""
+    declaration of the 'encoder.*' table a model's table starts with:
+    init_encoder_params fills it, load_checkpoint checks a header against it."""
     d, ff = config.d_model, config.d_ff
-    yield "tok_emb", (config.vocab_size, d), "normal"
-    yield "pos_emb", (config.max_len, d), "normal"
+    yield "encoder.tok_emb", (config.vocab_size, d), "normal"
+    yield "encoder.pos_emb", (config.max_len, d), "normal"
     for i in range(config.n_layers):
-        p = f"layer{i}."
+        p = f"encoder.layer{i}."
         yield p + "ln1.gamma", (d,), "ones"
         yield p + "ln1.beta", (d,), "zeros"
         for x in "qkvo":
@@ -97,9 +104,9 @@ def param_specs(config: EncoderConfig):
         yield p + "ffn.b1", (ff,), "zeros"
         yield p + "ffn.w2", (ff, d), "normal"
         yield p + "ffn.b2", (d,), "zeros"
-    yield "ln_f.gamma", (d,), "ones"
-    yield "ln_f.beta", (d,), "zeros"
-    yield "mlm_bias", (config.vocab_size,), "zeros"
+    yield "encoder.ln_f.gamma", (d,), "ones"
+    yield "encoder.ln_f.beta", (d,), "zeros"
+    yield "encoder.mlm_bias", (config.vocab_size,), "zeros"
 
 
 def _memory_bytes() -> int:
@@ -163,18 +170,16 @@ def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
     b, l = ids.shape
     if l > config.max_len:
         raise ValueError(f"batch length {l} exceeds max_len {config.max_len}")
-    if ids.max() >= config.vocab_size:
-        raise IndexError(f"token id {ids.max()} out of range [0, {config.vocab_size})")
     training = mode == "train"
 
-    pos = embedding_lookup(params["pos_emb"], np.arange(l))
-    x = add(embedding_lookup(params["tok_emb"], ids), pos)
+    pos = embedding_lookup(params["encoder.pos_emb"], np.arange(l))
+    x = add(embedding_lookup(params["encoder.tok_emb"], ids), pos)
     x = dropout(x, config.dropout_p, training=training, rng=rng)
 
     mask_bias = key_mask_bias(mask.reshape(b, 1, 1, l), x.dtype)
 
     for i in range(config.n_layers):
-        p = f"layer{i}."
+        p = f"encoder.layer{i}."
         h = layer_norm(x, params[p + "ln1.gamma"], params[p + "ln1.beta"])
         attn = _attention(h, mask_bias, params, p + "attn.", config)
         attn = dropout(attn, config.dropout_p, training=training, rng=rng)
@@ -184,7 +189,7 @@ def encode_batch(batch: EncodedBatch, params: dict, config: EncoderConfig,
         ff = linear(ff, params[p + "ffn.w2"], params[p + "ffn.b2"])
         ff = dropout(ff, config.dropout_p, training=training, rng=rng)
         x = add(x, ff)
-    return layer_norm(x, params["ln_f.gamma"], params["ln_f.beta"])
+    return layer_norm(x, params["encoder.ln_f.gamma"], params["encoder.ln_f.beta"])
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +246,7 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
     input error. A non-finite loss, activation or gradient norm raises
     DivergenceError with its step.
     """
+    check_vocab(config, vocab)
     corpus = list(corpus)
     if not corpus:
         raise DataError("pretrain_mlm: empty corpus")
@@ -269,7 +275,7 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
         h = encode_batch(batch, params, config, mode="train", rng=rng)
         b, l, d = h.shape
         rows = embedding_lookup(reshape(h, (b * l, d)), positions)
-        logits = linear(rows, transpose(params["tok_emb"]), params["mlm_bias"])
+        logits = linear(rows, transpose(params["encoder.tok_emb"]), params["encoder.mlm_bias"])
         return [cross_entropy(logits, targets)]
 
     trace = run_steps(opt, range(schedule.steps), mlm_loss, 0, schedule.steps, schedule)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .autograd import Tensor, cross_entropy, dropout
-from .encoder import EncoderConfig, encode_batch, fill_params, param_specs
+from .encoder import EncoderConfig, check_vocab, encode_batch, fill_params, param_specs
 from .errors import (
     CheckpointFormatError,
     ConfigError,
@@ -63,7 +63,7 @@ class Checkpoint:
     """Everything prediction needs: config, vocabulary and the emoji map
     its texts were normalized under (None: every emoji is dropped),
     parameters, the pooler kind, and run metadata. kind is 'model' for a
-    full classifier, 'encoder' for a pretraining-only parameter set."""
+    full classifier, 'encoder' for its 'encoder.*' parameters alone."""
 
     kind: str
     config: EncoderConfig
@@ -102,8 +102,7 @@ def forward_logits(params: dict, config: EncoderConfig, pooler_kind: str,
 
     Dropout lands on the pooled vector, whichever pooler made it.
     """
-    enc = {k[len("encoder."):]: v for k, v in params.items() if k.startswith("encoder.")}
-    h = encode_batch(batch, enc, config, mode=mode, rng=rng)
+    h = encode_batch(batch, params, config, mode=mode, rng=rng)
     mask = batch.attention_mask
     if pooler_kind == "attention":
         pooled = attention_pool(h, mask, params["pooler.q"], params["pooler.w_h"])
@@ -118,7 +117,7 @@ def forward_logits(params: dict, config: EncoderConfig, pooler_kind: str,
 
 def model_param_specs(config: EncoderConfig, pooler_kind: str):
     """(name, shape, fill) for the full model, in checkpoint blob order:
-    'encoder.*', then the attention pooler's query 'pooler.q' (d,) and
+    'encoder.*' (param_specs), then the attention pooler's query 'pooler.q' (d,) and
     projection 'pooler.w_h' (d×d), then 'heads.{task}.w' (d×C) and
     'heads.{task}.b' (C,) per task.
 
@@ -129,8 +128,7 @@ def model_param_specs(config: EncoderConfig, pooler_kind: str):
     """
     if pooler_kind not in POOLER_KINDS:
         raise ConfigError(f"unknown pooler kind {pooler_kind!r}")
-    for name, shape, fill in param_specs(config):
-        yield f"encoder.{name}", shape, fill
+    yield from param_specs(config)
     d = config.d_model
     if pooler_kind == "attention":
         yield "pooler.q", (d,), "zeros"
@@ -172,8 +170,7 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     and per-epoch dev reports when a dev split was given.
 
     The encoder is built from encoder, dropout rate included, and starts
-    fresh from the seed or from pretrained, a table of bare encoder
-    parameter names (MLM warm start).
+    fresh from the seed or from pretrained, an encoder table (MLM warm start).
     Deterministic: the seed drives init, batch order, and dropout through
     independent streams, so identical (seed, config, data) means identical
     parameters.
@@ -183,6 +180,7 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     step's in their last bits at most, because BLAS sums a shorter row in
     another order.
     """
+    check_vocab(encoder, vocab)
     dataset = list(dataset)
     if not dataset:
         raise DataError("train: empty dataset")
@@ -198,16 +196,14 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
 
     ss_init, ss_order, ss_drop = np.random.SeedSequence(config.seed).spawn(3)
     params = init_model_params(encoder, config.pooler, ss_init)
-    if pretrained is not None:
-        for name, tensor in pretrained.items():
-            key = f"encoder.{name}"
-            if key not in params:
-                raise ConfigError(f"pretrained encoder: unexpected parameter {key!r}")
-            if tensor.shape != params[key].shape:
-                raise ConfigError(f"pretrained encoder: parameter {key!r} has shape "
-                                  f"{tensor.shape}, expected {params[key].shape}")
-            params[key] = Tensor(tensor.data.copy(), requires_grad=True,
-                                 dtype=tensor.data.dtype)
+    shapes = {name: shape for name, shape, _ in param_specs(encoder)}
+    for name, tensor in (pretrained or {}).items():
+        if name not in shapes:
+            raise ConfigError(f"pretrained encoder: unexpected parameter {name!r}")
+        if tensor.shape != shapes[name]:
+            raise ConfigError(f"pretrained encoder: parameter {name!r} has shape "
+                              f"{tensor.shape}, expected {shapes[name]}")
+        params[name] = Tensor(tensor.data.copy(), requires_grad=True, dtype=tensor.data.dtype)
     for prefix in config.freeze:
         frozen = [t for name, t in params.items() if name.startswith(prefix)]
         if not frozen:

@@ -28,6 +28,7 @@ from trihead.autograd import (
     transpose,
 )
 from trihead.errors import ConfigError
+from trihead.optim import MAX_GRAD_NORM, clip_global_norm
 
 
 def project(y, w):
@@ -206,6 +207,19 @@ def test_broadcast_add_unbroadcasts_gradient():
     backward(total(add(x, b)))
     np.testing.assert_allclose(b.grad, [2.0, 2.0, 2.0])
     np.testing.assert_allclose(x.grad, np.ones((2, 3)))
+
+
+def test_two_leaves_never_share_a_gradient_buffer():
+    # add's gradients for two same-shape leaves are views of one array; a
+    # shared .grad would be scaled twice by clip_global_norm's in-place scale
+    a = Tensor(np.zeros((1, 3)), requires_grad=True)
+    b = Tensor(np.zeros((1, 3)), requires_grad=True)
+    backward(cross_entropy(add(a, b), [0]))
+    assert not np.shares_memory(a.grad, b.grad)
+    params = {"a": a, "b": b}
+    assert clip_global_norm(params) == pytest.approx(2 / np.sqrt(3), rel=1e-6)
+    norm = np.sqrt(sum(float(np.sum(t.grad.astype(np.float64) ** 2)) for t in params.values()))
+    assert norm == pytest.approx(MAX_GRAD_NORM, rel=1e-6)
 
 
 def test_only_leaves_hold_gradients():

@@ -326,6 +326,23 @@ def test_out_that_cannot_be_made_stops_before_training(tmp_path, capsys, monkeyp
     assert str(blocker / "x") in err
 
 
+@pytest.mark.parametrize("command, argv, run_name", [
+    ("train", ["--data", TRAIN_TSV, *FAST], "train"),
+    ("pretrain", ["--corpus", CORPUS_TXT, "--steps", "3"], "pretrain_mlm"),
+], ids=["train", "pretrain"])
+def test_out_naming_an_existing_file_is_a_config_error(tmp_path, capsys, monkeypatch,
+                                                       command, argv, run_name):
+    def must_not_run(*args, **kwargs):
+        raise AssertionError(f"{run_name} ran with --out naming a file")
+
+    monkeypatch.setattr(importlib.import_module("trihead.cli"), run_name, must_not_run)
+    existing = tmp_path / "model.ckpt"
+    existing.write_text("")
+    code, _, err = run(capsys, command, *argv, "--out", str(existing))
+    assert (code, err) == (2, f"error: --out {existing} is a file, not a directory\n")
+    assert existing.read_text() == ""
+
+
 @pytest.mark.parametrize("argv, file_values", [
     (["train", "--data", TRAIN_TSV, *FAST, "--seed", "-1"], {}),
     (["train", "--data", TRAIN_TSV, *FAST, "--balance", "--seed", "-1"], {}),
@@ -959,8 +976,8 @@ def test_predict_ignores_the_labels_of_a_labelled_input(trained, tmp_path, capsy
 
 
 @pytest.mark.parametrize("output, flag", [("model.ckpt", "--model"), ("in.tsv", "--input"),
-                                          (".", "--output")],
-                         ids=["model", "input", "directory"])
+                                          (".", "--output"), ("nodir/p.tsv", "--output")],
+                         ids=["model", "input", "directory", "missing-directory"])
 def test_predict_output_that_clobbers_an_input_is_a_config_error(trained, tmp_path, capsys,
                                                                  monkeypatch, output, flag):
     monkeypatch.chdir(tmp_path)
@@ -1060,7 +1077,7 @@ def test_pretrain_writes_encoder_checkpoint(tmp_path, capsys):
     assert "masked-token loss" in stdout
     ck = load_checkpoint(out / "encoder.ckpt")
     assert ck.kind == "encoder"
-    assert "mlm_bias" in ck.params
+    assert "encoder.mlm_bias" in ck.params
     trace = (out / "pretrain_trace.csv").read_text().strip().split("\n")
     assert trace[0] == "step,loss"
     assert len(trace) == 1 + 12

@@ -19,10 +19,10 @@ from trihead.data import (
     save_checkpoint,
     write_dataset,
 )
-from trihead.encoder import EncoderConfig
+from trihead.encoder import EncoderConfig, encode_batch, param_specs
 from trihead.errors import CheckpointFormatError, DataError
 from trihead.metrics import TriLabel
-from trihead.textpipe import EmojiMap, Vocab, build_vocab
+from trihead.textpipe import EmojiMap, Vocab, batch_encode, build_vocab
 from trihead.train import Checkpoint, init_model_params
 
 HEADER = "id\ttext\taggression\tgender\tcommunal"
@@ -519,9 +519,66 @@ def test_malformed_header_contents_are_rejected(tmp_path, edit, message):
 
 def test_encoder_checkpoint_with_a_pooler_is_rejected(tmp_path):
     ck = small_checkpoint()
-    enc = {k[len("encoder."):]: t for k, t in ck.params.items() if k.startswith("encoder.")}
+    enc = {k: t for k, t in ck.params.items() if k.startswith("encoder.")}
     p = tmp_path / "e.ckpt"
     save_checkpoint(Checkpoint(kind="encoder", config=ck.config, vocab=ck.vocab,
                                pooler_kind="attention", params=enc), p)
     with pytest.raises(CheckpointFormatError, match="encoder checkpoint has pooler"):
+        load_checkpoint(p)
+
+
+def save_encoder_part(tmp_path):
+    """small_checkpoint's encoder part saved as an encoder checkpoint file;
+    returns the path and the table saved."""
+    ck = small_checkpoint()
+    enc = {name: ck.params[name] for name, _, _ in param_specs(ck.config)}
+    p = tmp_path / "e.ckpt"
+    save_checkpoint(Checkpoint(kind="encoder", config=ck.config, vocab=ck.vocab,
+                               pooler_kind="none", params=enc), p)
+    return p, enc
+
+
+def header_of(path) -> dict:
+    raw = path.read_bytes()
+    (hlen,) = struct.unpack("<I", raw[8:12])
+    return json.loads(raw[12:12 + hlen])
+
+
+def test_an_encoder_file_drops_the_prefix_and_loads_under_the_models_names(tmp_path):
+    p, enc = save_encoder_part(tmp_path)
+    names = [entry["name"] for entry in header_of(p)["params"]]
+    assert names[:2] == ["tok_emb", "pos_emb"] and names[-1] == "mlm_bias"
+    assert not any(name.startswith("encoder.") for name in names)
+    back = load_checkpoint(p)
+    assert list(back.params) == [n for n, _, _ in param_specs(back.config)] == list(enc)
+    for name, tensor in enc.items():
+        assert back.params[name].data.tobytes() == tensor.data.tobytes(), name
+
+
+def test_encode_batch_runs_on_a_loaded_model_table_as_is(tmp_path):
+    save_checkpoint(small_checkpoint(), tmp_path / "m.ckpt")
+    model = load_checkpoint(tmp_path / "m.ckpt")
+    encoder_part = {name: model.params[name] for name, _, _ in param_specs(model.config)}
+    batch = batch_encode(["ami bhalo", "khub kharap tumi"], model.vocab, model.config.max_len)
+    got = encode_batch(batch, model.params, model.config)
+    want = encode_batch(batch, encoder_part, model.config)
+    assert got.data.tobytes() == want.data.tobytes()
+
+
+@pytest.mark.parametrize("edit, message", [
+    pytest.param(lambda h: h["params"][-1].update(name="mlm_bias2"),
+                 "unexpected parameter 'mlm_bias2', expected 'mlm_bias'$", id="renamed"),
+    pytest.param(lambda h: h["params"][0].update(name="encoder.tok_emb"),
+                 "unexpected parameter 'encoder.tok_emb', expected 'tok_emb'$", id="prefixed"),
+    pytest.param(reverse_first_shape, "parameter 'tok_emb' has shape", id="shape"),
+    pytest.param(lambda h: h["params"].pop(), r"missing parameters \['mlm_bias'\]$",
+                 id="missing"),
+])
+def test_an_encoder_file_problem_names_the_parameter_as_the_file_spells_it(
+        tmp_path, edit, message):
+    p, _ = save_encoder_part(tmp_path)
+    raw = bytearray(p.read_bytes())
+    rewrite_header(edit)(raw)
+    p.write_bytes(bytes(raw))
+    with pytest.raises(CheckpointFormatError, match=message):
         load_checkpoint(p)

@@ -184,17 +184,23 @@ def _mlm_loss_builder(params, name, config, batch, positions, targets):
         h = encode_batch(batch, p2, config, mode="eval")
         b, l, d = h.shape
         rows = embedding_lookup(reshape(h, (b * l, d)), positions)
-        logits = add(matmul(rows, transpose(p2["tok_emb"])), p2["mlm_bias"])
+        logits = add(matmul(rows, transpose(p2["encoder.tok_emb"])), p2["encoder.mlm_bias"])
         return cross_entropy(logits, targets)
 
     return f
 
 
 @pytest.mark.parametrize("name", [
-    "tok_emb", "pos_emb",
-    "layer0.attn.wq", "layer0.attn.wv", "layer0.attn.bo",
-    "layer0.ln1.gamma", "layer0.ffn.w1", "layer0.ffn.b2",
-    "ln_f.beta", "mlm_bias",
+    pytest.param("encoder.tok_emb", id="tok_emb"),
+    pytest.param("encoder.pos_emb", id="pos_emb"),
+    pytest.param("encoder.layer0.attn.wq", id="layer0.attn.wq"),
+    pytest.param("encoder.layer0.attn.wv", id="layer0.attn.wv"),
+    pytest.param("encoder.layer0.attn.bo", id="layer0.attn.bo"),
+    pytest.param("encoder.layer0.ln1.gamma", id="layer0.ln1.gamma"),
+    pytest.param("encoder.layer0.ffn.w1", id="layer0.ffn.w1"),
+    pytest.param("encoder.layer0.ffn.b2", id="layer0.ffn.b2"),
+    pytest.param("encoder.ln_f.beta", id="ln_f.beta"),
+    pytest.param("encoder.mlm_bias", id="mlm_bias"),
 ])
 def test_grad_check_through_encoder(name):
     config = small_config()

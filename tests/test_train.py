@@ -2,6 +2,7 @@
 
 import importlib
 import math
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from trihead.autograd import Tensor
 from trihead.data import Example, load_checkpoint, save_checkpoint
-from trihead.encoder import EncoderConfig, PretrainSchedule
+from trihead.encoder import EncoderConfig, PretrainSchedule, pretrain_mlm
 from trihead.errors import (
     CheckpointFormatError,
     ConfigError,
@@ -348,7 +349,7 @@ def test_pretrained_encoder_params_are_used():
     data = toy_dataset(16)
     config, vocab = toy_init(data, dropout_p=0.0)
     fresh = init_model_params(config, "mean", seed=123)
-    warm = {k[len("encoder."):]: v for k, v in fresh.items() if k.startswith("encoder.")}
+    warm = {k: v for k, v in fresh.items() if k.startswith("encoder.")}
     result = train(data, cfg(epochs=1, batch_size=16, base_lr=1e-9, seed=6,
                              pooler="mean"), config, vocab, pretrained=warm)
     # near-zero lr: encoder weights should still be (almost) the warm start
@@ -360,9 +361,33 @@ def test_pretrained_encoder_params_are_used():
 def test_pretrained_params_shape_mismatch_rejected():
     data = toy_dataset(8)
     config, vocab = toy_init(data)
-    bad = {"tok_emb": init_model_params(config, "mean", 0)["encoder.pos_emb"]}
+    bad = {"encoder.tok_emb": init_model_params(config, "mean", 0)["encoder.pos_emb"]}
     with pytest.raises(ConfigError, match="shape"):
         train(data, cfg(epochs=1), config, vocab, pretrained=bad)
+
+
+def test_pretrained_params_under_bare_names_are_rejected():
+    # only an encoder checkpoint file drops the 'encoder.' prefix
+    data = toy_dataset(8)
+    config, vocab = toy_init(data)
+    bare = {"tok_emb": init_model_params(config, "mean", 0)["encoder.tok_emb"]}
+    with pytest.raises(ConfigError, match="unexpected parameter 'tok_emb'"):
+        train(data, cfg(epochs=1), config, vocab, pretrained=bare)
+
+
+@pytest.mark.parametrize("extra", [5, None], ids=["vocab-plus-5", "vocab-size-8"])
+def test_a_config_whose_vocab_size_is_not_the_vocabularys_is_a_config_error(extra):
+    # vocab+5 trained and wrote a checkpoint load_checkpoint refused;
+    # 8 ended in an IndexError from the embedding lookup
+    data = toy_dataset(8)
+    config, vocab = toy_init(data)
+    size = vocab.size + extra if extra else 8
+    config = replace(config, vocab_size=size)
+    message = f"vocab_size {size}, vocabulary has {vocab.size} tokens"
+    with pytest.raises(ConfigError, match=message):
+        train(data, cfg(epochs=1), config, vocab)
+    with pytest.raises(ConfigError, match=message):
+        pretrain_mlm([ex.text for ex in data], vocab, config, PretrainSchedule(steps=1))
 
 
 def test_a_warm_start_returns_the_encoders_mlm_bias_unchanged():
@@ -371,9 +396,9 @@ def test_a_warm_start_returns_the_encoders_mlm_bias_unchanged():
     data = toy_dataset(16)
     config, vocab = toy_init(data)
     fresh = init_model_params(config, "attention", seed=123)
-    warm = {k[len("encoder."):]: v for k, v in fresh.items() if k.startswith("encoder.")}
-    bias = np.random.default_rng(1).normal(size=warm["mlm_bias"].shape).astype(np.float32)
-    warm["mlm_bias"] = Tensor(bias, requires_grad=True)
+    warm = {k: v for k, v in fresh.items() if k.startswith("encoder.")}
+    bias = np.random.default_rng(1).normal(size=warm["encoder.mlm_bias"].shape).astype(np.float32)
+    warm["encoder.mlm_bias"] = Tensor(bias, requires_grad=True)
     result = train(data, cfg(epochs=2, batch_size=8, base_lr=1e-2, seed=6), config, vocab,
                    dev=toy_dataset(8, seed=2), pretrained=warm)
     got = result.checkpoint.params["encoder.mlm_bias"]
