@@ -393,7 +393,7 @@ def backward(loss: Tensor) -> None:
 
     # per-pass gradient buffers; leaves accumulate straight into .grad, and a
     # leaf's first gradient is copied if it is a view (add's two can view one
-    # buffer), so no two leaves share a .grad that a clip scales in place
+    # buffer), so no two leaves share a .grad that one in-place change alters
     pass_grads = {id(loss): np.ones_like(loss.data)}
     for t in reversed(topo):
         g = pass_grads.pop(id(t), None)

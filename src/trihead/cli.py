@@ -211,7 +211,10 @@ def _make_out(out: Path) -> None:
     cannot be made fails at once."""
     if out.exists() and not out.is_dir():
         raise ConfigError(f"--out {out} is a file, not a directory")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"--out {out} cannot be made: {exc.strerror}") from None
 
 
 def cmd_train(args) -> int:

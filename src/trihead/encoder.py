@@ -120,19 +120,20 @@ def fill_params(config: EncoderConfig, specs, seed) -> dict:
     """Fresh float32 name → Tensor table for config's (name, shape, fill)
     specs; the normal draws come from one generator in spec order. seed may
     be an int or a SeedSequence. The training state's bytes (the table,
-    its gradients, AdamW's flat gradient buffer and its two moments) are
-    summed before anything is allocated: a state this process cannot hold
-    is a ConfigError naming the parameter where it overflows, the running
-    total and config."""
+    its gradients, and AdamW's flat buffers: gathered gradients, two
+    moments and the float64 squares, which count as two float32 copies and
+    double as the update's scratch) are summed before anything is
+    allocated: a state this process cannot hold is a ConfigError naming the
+    parameter where it overflows, the running total and config."""
     walked, total, limit = [], 0, _memory_bytes()
     for name, shape, fill in specs:
-        total += 5 * math.prod(shape) * np.dtype(np.float32).itemsize
+        total += 7 * math.prod(shape) * np.dtype(np.float32).itemsize
         if total > limit:
             raise ConfigError(f"parameter {name!r} of shape {shape} does not fit in memory: "
                               f"the training state (parameters, gradients, AdamW's flat "
-                              f"gradient buffer and moments) of {config} reaches "
-                              f"{total / 2**30:.1f} GiB "
-                              f"there, past the {limit / 2**30:.1f} GiB this process can hold")
+                              f"gradient, moment and float64 square buffers) of "
+                              f"{config} reaches {total / 2**30:.1f} GiB there, past the "
+                              f"{limit / 2**30:.1f} GiB this process can hold")
         walked.append((name, shape, fill))
     rng = np.random.default_rng(seed)
     fills = {"normal": lambda shape: rng.normal(0.0, 0.02, shape),

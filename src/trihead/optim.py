@@ -47,18 +47,20 @@ WEIGHT_DECAY = 0.01
 MAX_GRAD_NORM = 1.0
 
 
-def clip_global_norm(params: dict) -> float:
-    """Scale every gradient of a name → Tensor table so their joint L2 norm
-    is at most MAX_GRAD_NORM; returns the pre-clip norm."""
-    grads = [t.grad for t in params.values() if t.grad is not None]
+def clip_global_norm(grad, offsets, sq) -> float:
+    """Scale a flat gradient buffer in place so its L2 norm is at most
+    MAX_GRAD_NORM; returns the pre-clip norm. grad holds one tensor per
+    [offsets[i], offsets[i+1]) span, and sq is a float64 buffer of grad's
+    size that takes the squares: each span is summed on its own and the
+    sums added in order, the arithmetic of a per-tensor loop."""
+    sq[...] = grad
+    np.square(sq, out=sq)
     total = 0.0  # a plain loop: sum() compensates float rounding from Python 3.12 on
-    for g in grads:
-        total += float(np.sum(g.astype(np.float64) ** 2))
+    for lo, hi in zip(offsets, offsets[1:]):
+        total += float(np.add.reduce(sq[lo:hi]))
     norm = float(np.sqrt(total))
     if norm > MAX_GRAD_NORM:
-        factor = MAX_GRAD_NORM / norm
-        for g in grads:
-            g *= factor
+        grad *= MAX_GRAD_NORM / norm
     return norm
 
 
@@ -68,10 +70,15 @@ class AdamW:
     The table's trainable tensors (requires_grad=True) move into one flat
     buffer that each of their Tensor.data then views; m, v and the gathered
     gradients are flat buffers of the same layout (the foreach idea of
-    PyTorch's AdamW), so a step is a few vector ops over the whole buffer,
-    with the arithmetic of a per-tensor loop. Frozen tensors keep their own
-    storage and are never decayed or moved. Every trainable tensor must
-    hold a gradient at each step, and all of them one dtype.
+    PyTorch's AdamW), so a step is one gather, one global-norm clip and a
+    few vector ops over the whole buffer, with the arithmetic of a
+    per-tensor loop. The step writes every intermediate into buffers made
+    here (float64 squares for the norm, whose bytes then serve as the
+    update's scratch, and the gathered gradients once v is updated), so it
+    allocates nothing of the table's size; each Tensor.grad keeps its
+    unclipped values. Frozen tensors keep their own storage and are never
+    clipped, decayed or moved. Every trainable tensor must hold a gradient
+    at each step, and all of them one dtype.
     """
 
     def __init__(self, params: dict):
@@ -87,27 +94,52 @@ class AdamW:
         for p, lo, hi in zip(self._trainable.values(), self._offsets, self._offsets[1:]):
             p.data = self._data[lo:hi].reshape(p.data.shape)
         self._grad = np.empty_like(self._data)
+        self._sq = np.empty(self._data.shape, dtype=np.float64)
+        # the squares are spent once the norm is known; their bytes then
+        # serve the update as its scratch
+        self._scratch = self._sq.view(self._data.dtype)[:self._data.size]
         self._m = np.zeros_like(self._data)
         self._v = np.zeros_like(self._data)
 
-    def step(self, lr: float) -> None:
+    def step(self, lr: float) -> float:
+        """Gather, clip and update at lr; returns the pre-clip gradient norm.
+        A non-finite norm raises NonFiniteError before t, m, v or any
+        parameter moves."""
         missing = [k for k, p in self._trainable.items() if p.grad is None]
         if missing:
             raise RuntimeError(f"AdamW: no gradient for the trainable tensors {missing}")
+        g = np.concatenate([p.grad for p in self._trainable.values()], axis=None,
+                           out=self._grad)
+        norm = clip_global_norm(g, self._offsets, self._sq)
+        # NaN > 1 is false, so a NaN norm would pass unclipped into the
+        # parameters and surface only at the next step
+        if not np.isfinite(norm):
+            raise NonFiniteError(f"gradient norm {norm}")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
-        g = np.concatenate([p.grad for p in self._trainable.values()], axis=None,
-                           out=self._grad)
-        m, v, w = self._m, self._v, self._data
-        m *= BETA1
-        m += (1.0 - BETA1) * g
+        m, v, w, s = self._m, self._v, self._data, self._scratch
+        # the roundings of
+        #   v = β2·v + (1 - β2)·(g·g);  m = β1·m + (1 - β1)·g;  w -= (lr·λ)·w
+        #   w -= lr·(m / bc1) / (sqrt(v / bc2) + ε)
+        # with every result written into s, or into g once v no longer needs it
         v *= BETA2
-        v += (1.0 - BETA2) * (g * g)
-        w -= (lr * WEIGHT_DECAY) * w
-        mhat = m / bc1
-        vhat = v / bc2
-        w -= lr * mhat / (np.sqrt(vhat) + EPS)
+        np.square(g, out=s)  # the bits of g * g, in one read of g
+        s *= 1.0 - BETA2
+        v += s
+        m *= BETA1
+        g *= 1.0 - BETA1
+        m += g
+        np.multiply(lr * WEIGHT_DECAY, w, out=s)
+        w -= s
+        np.divide(m, bc1, out=s)
+        s *= lr
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += EPS
+        s /= g
+        w -= s
+        return norm
 
     def zero_grad(self) -> None:
         for p in self.params.values():
@@ -116,10 +148,11 @@ class AdamW:
 
 def run_steps(opt: AdamW, batches, loss_terms, first: int, total_steps: int, schedule) -> list:
     """One optimizer step per batch, numbered from first: sum loss_terms(batch),
-    a list of scalar Tensors, left to right; backward, clip the global gradient
-    norm and update at lr_at(step, total_steps, schedule). Returns a (step, lr,
-    loss, *term values) row per step. A NonFiniteError from loss_terms, or a
-    non-finite loss or gradient norm, raises DivergenceError(step)."""
+    a list of scalar Tensors, left to right; backward, then opt.step, which
+    clips the global gradient norm and updates at lr_at(step, total_steps,
+    schedule). Returns a (step, lr, loss, *term values) row per step. A
+    NonFiniteError from loss_terms, or a non-finite loss or gradient norm,
+    raises DivergenceError(step)."""
     rows = []
     for step, batch in enumerate(batches, start=first):
         try:
@@ -134,10 +167,9 @@ def run_steps(opt: AdamW, batches, loss_terms, first: int, total_steps: int, sch
             raise DivergenceError(step)
         opt.zero_grad()
         backward(loss)
-        # NaN > 1 is false, so a NaN norm would pass unclipped into the
-        # parameters and surface only at the next step
-        if not np.isfinite(clip_global_norm(opt.params)):
-            raise DivergenceError(step, "gradient norm")
-        opt.step(lr)
+        try:
+            opt.step(lr)
+        except NonFiniteError:
+            raise DivergenceError(step, "gradient norm") from None
         rows.append((step, lr, value, *(term.item() for term in terms)))
     return rows

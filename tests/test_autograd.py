@@ -211,14 +211,15 @@ def test_broadcast_add_unbroadcasts_gradient():
 
 def test_two_leaves_never_share_a_gradient_buffer():
     # add's gradients for two same-shape leaves are views of one array; a
-    # shared .grad would be scaled twice by clip_global_norm's in-place scale
+    # shared .grad would carry any in-place change to one leaf's into the other's
     a = Tensor(np.zeros((1, 3)), requires_grad=True)
     b = Tensor(np.zeros((1, 3)), requires_grad=True)
     backward(cross_entropy(add(a, b), [0]))
     assert not np.shares_memory(a.grad, b.grad)
-    params = {"a": a, "b": b}
-    assert clip_global_norm(params) == pytest.approx(2 / np.sqrt(3), rel=1e-6)
-    norm = np.sqrt(sum(float(np.sum(t.grad.astype(np.float64) ** 2)) for t in params.values()))
+    grad = np.concatenate([a.grad, b.grad], axis=None)  # AdamW's gather
+    assert clip_global_norm(grad, [0, 3, 6], np.empty(6)) == pytest.approx(2 / np.sqrt(3),
+                                                                            rel=1e-6)
+    norm = np.sqrt(float(np.sum(grad.astype(np.float64) ** 2)))
     assert norm == pytest.approx(MAX_GRAD_NORM, rel=1e-6)
 
 

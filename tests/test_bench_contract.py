@@ -4,8 +4,9 @@ perfbench/tracing.py wraps trihead's functions by name from outside the
 package. A tiny traced train with a dev split, then a predict, checks
 that those names are still there and still do what the per-layer
 metrics assume: training records a graph, forward-only passes record
-none, and the step clock stamps both optimizer steps and predicted chunks.
-A tiny traced pretrain checks that its steps run in the pretrain phase.
+none, the step clock stamps both optimizer steps and predicted chunks, and
+every step calls the hooked clip. A tiny traced pretrain checks that its
+steps, and their clips, run in the pretrain phase.
 """
 
 import importlib.util
@@ -56,6 +57,9 @@ def test_tracer_patches_a_train_and_a_predict():
     # every gradient the AdamW.step hook reads keeps its parameter's float32
     assert layers["autograd.grad_dtype_mismatch"] == 0
     assert len(clock.steps) == 2  # 16 rows in batches of 8
+    # optim.clip_ms and optim.clipped_share read the spans and counts of
+    # the hooked module function optim.clip_global_norm, once per step
+    assert tracer.counts["clip_calls", tracing.PHASES.index("train")] == len(clock.steps)
     assert len(clock.chunks) == 2  # one dev eval, one predict
 
 
@@ -77,6 +81,7 @@ def test_tracer_stamps_and_phases_every_pretraining_step():
         tracer.uninstall()
 
     assert len(losses) == len(clock.steps) == 3
+    assert tracer.counts["clip_calls", tracing.PHASES.index("pretrain")] == len(clock.steps)
     # the extra holds pretraining's own time only when its AdamW steps ran
     # under the pretrain phase
     _, extra = tracing.layer_metrics(tracer, "train")

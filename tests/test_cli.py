@@ -322,7 +322,7 @@ def test_out_that_cannot_be_made_stops_before_training(tmp_path, capsys, monkeyp
     blocker = tmp_path / "file"
     blocker.write_text("")
     code, _, err = run(capsys, command, *argv, "--out", str(blocker / "x"))
-    assert code == 3
+    assert code == 2
     assert str(blocker / "x") in err
 
 
@@ -420,13 +420,13 @@ def test_nan_gradient_exits_4_at_the_poisoned_step(tmp_path, capsys, monkeypatch
     real_clip = clip_global_norm
     calls = []
 
-    def poison_step_2(params):
+    def poison_step_2(grad, offsets, sq):
         if len(calls) == 2:
-            next(iter(params.values())).grad[...] = np.nan
-        calls.append(len(params))
-        return real_clip(params)
+            grad[0] = np.nan
+        calls.append(len(offsets) - 1)
+        return real_clip(grad, offsets, sq)
 
-    # both loops clip inside optim.run_steps, never on their own;
+    # both loops clip inside optim.AdamW.step, never on their own;
     # trihead.train is also the name of a function, so import the module
     assert not hasattr(importlib.import_module(module), "clip_global_norm")
     monkeypatch.setattr(importlib.import_module("trihead.optim"), "clip_global_norm",
@@ -475,7 +475,8 @@ HUGE, INT64_MAX = "100000000000000000000", str(2**63 - 1)
     (["train", "--max-len", "20000"], 20000, "shape (8, 2, 20000, 20000)", 60),
     # every layer is small: the table is sized before any of it is allocated
     (["train", "--n-layers", "100000000"], None, "n_layers=100000000", 5),
-    # the table alone fits: its gradients and AdamW's buffers do not
+    # the table alone fits: seven times it (its gradients, and AdamW's
+    # gradient, moment and float64 square buffers) does not
     (["train", "--n-layers", "9000"], None, "n_layers=9000", 5),
 ], ids=["d-model", "max-len-ids", "max-len-1e20", "max-len-int64", "pretrain-max-len-1e20",
         "pretrain-max-len-int64", "max-len-batch", "n-layers-1e8", "n-layers-9000"])

@@ -1,45 +1,46 @@
 """Optimizer and gradient clipping."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from trihead.autograd import Tensor
-from trihead.errors import ConfigError
-from trihead.optim import BETA1, BETA2, EPS, WEIGHT_DECAY, AdamW, clip_global_norm
+from trihead.errors import ConfigError, NonFiniteError
+from trihead.optim import (BETA1, BETA2, EPS, MAX_GRAD_NORM, WEIGHT_DECAY, AdamW,
+                          clip_global_norm)
+
+
+def clip(values, offsets):
+    """clip_global_norm over a fresh float32 buffer of values; returns the
+    norm and the clipped buffer."""
+    grad = np.array(values, dtype=np.float32)
+    return clip_global_norm(grad, offsets, np.empty(grad.size)), grad
 
 
 def test_clip_scales_down_to_the_budget():
-    a = Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
-    a.grad = np.array([3.0, 0.0, 4.0], dtype=np.float32)  # norm 5
-    norm = clip_global_norm({"a": a})
+    norm, grad = clip([3.0, 0.0, 4.0], [0, 3])  # norm 5
     assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(a.grad, [0.6, 0.0, 0.8], atol=1e-7)
+    np.testing.assert_allclose(grad, [0.6, 0.0, 0.8], atol=1e-7)
 
 
 def test_clip_leaves_small_gradients_alone():
-    a = Tensor(np.zeros(2, dtype=np.float32), requires_grad=True)
-    g = np.array([0.3, 0.4], dtype=np.float32)
-    a.grad = g.copy()
-    norm = clip_global_norm({"a": a})
+    norm, grad = clip([0.3, 0.4], [0, 2])
     assert norm == pytest.approx(0.5)
-    np.testing.assert_array_equal(a.grad, g)
+    np.testing.assert_array_equal(grad, np.array([0.3, 0.4], dtype=np.float32))
 
 
 def test_clip_norm_spans_all_tensors():
-    a = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    b = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    a.grad = np.array([3.0], dtype=np.float32)
-    b.grad = np.array([4.0], dtype=np.float32)
-    norm = clip_global_norm({"a": a, "b": b})
+    norm, grad = clip([3.0, 4.0], [0, 1, 2])
     assert norm == pytest.approx(5.0)
-    np.testing.assert_allclose(a.grad, [0.6], atol=1e-7)
-    np.testing.assert_allclose(b.grad, [0.8], atol=1e-7)
+    np.testing.assert_allclose(grad, [0.6, 0.8], atol=1e-7)
 
 
 def test_clip_skips_missing_grads():
-    a = Tensor(np.zeros(1, dtype=np.float32), requires_grad=True)
-    norm = clip_global_norm({"a": a})
-    assert norm == 0.0
+    # AdamW gathers trainable tensors only, so a table with none to train
+    # leaves an empty buffer: norm 0, nothing to scale
+    norm, grad = clip([], [0])
+    assert norm == 0.0 and grad.size == 0
 
 
 def test_adamw_minimizes_a_quadratic():
@@ -90,9 +91,26 @@ def test_zero_grad_clears_gradients():
     assert x.grad is None
 
 
+def clip_per_tensor(params: dict) -> float:
+    """The reference clip: scale every gradient of a name → Tensor table in
+    place so their joint L2 norm is at most MAX_GRAD_NORM; returns the
+    pre-clip norm."""
+    grads = [t.grad for t in params.values() if t.grad is not None]
+    total = 0.0
+    for g in grads:
+        total += float(np.sum(g.astype(np.float64) ** 2))
+    norm = float(np.sqrt(total))
+    if norm > MAX_GRAD_NORM:
+        factor = MAX_GRAD_NORM / norm
+        for g in grads:
+            g *= factor
+    return norm
+
+
 class PerTensorAdamW:
-    """The reference: AdamW as one loop over the table, each tensor with
-    its own moments."""
+    """The reference: global-norm clip over the trainable tensors (backward
+    never gives a frozen one a gradient), then AdamW as one loop over the
+    table, each tensor with its own moments."""
 
     def __init__(self, params):
         self.params = params
@@ -101,6 +119,7 @@ class PerTensorAdamW:
         self._v = {k: np.zeros_like(v.data) for k, v in params.items()}
 
     def step(self, lr):
+        norm = clip_per_tensor({k: p for k, p in self.params.items() if p.requires_grad})
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
         bc2 = 1.0 - BETA2 ** self.t
@@ -118,6 +137,7 @@ class PerTensorAdamW:
             mhat = m / bc1
             vhat = v / bc2
             p.data -= lr * mhat / (np.sqrt(vhat) + EPS)
+        return norm
 
 
 # live, frozen, live, live, live: the frozen tensor stays out of the flat
@@ -140,14 +160,22 @@ def test_flat_adamw_matches_the_per_tensor_loop_bit_for_bit():
         np.testing.assert_array_equal(flat_params[name].data, init[name])
         assert np.shares_memory(flat_params[name].data, flat._data) == live, name
     assert flat._data.size == sum(init[name].size for name, _, live in TABLE if live)
+    norms = []
     for step in range(6):
+        # the gradient norm is about 100 on odd steps, and 0.1 or less on
+        # even ones: both sides of MAX_GRAD_NORM
+        size = 1.0 if step % 2 else 1e-3 / (step + 1)
+        grads = {}
         for name, shape, _ in TABLE:
             # the frozen tensor carries a gradient it must ignore
-            g = rng.normal(size=shape).astype(np.float32)
-            flat_params[name].grad, ref_params[name].grad = g, g.copy()
+            grads[name] = (size * rng.normal(size=shape)).astype(np.float32)
+            flat_params[name].grad, ref_params[name].grad = grads[name].copy(), grads[name].copy()
         lr = 0.05 * (step + 1)
-        flat.step(lr)
-        ref.step(lr)
+        norms.append(flat.step(lr))
+        assert norms[-1] == ref.step(lr)
+        for name, _, _ in TABLE:  # the clip scales AdamW's gathered copy only
+            assert flat_params[name].grad.tobytes() == grads[name].tobytes(), name
+    assert max(norms[0::2]) < MAX_GRAD_NORM < min(norms[1::2])
     span = {name: slice(lo, hi)
             for name, lo, hi in zip(flat._trainable, flat._offsets, flat._offsets[1:])}
     for name, shape, _ in TABLE:
@@ -176,3 +204,38 @@ def test_adamw_rejects_a_table_of_mixed_dtypes():
     b = Tensor(np.zeros(2), requires_grad=True, dtype=np.float64)
     with pytest.raises(ConfigError, match=r"one dtype, got \['float32', 'float64'\]"):
         AdamW({"a": a, "b": b})
+
+
+def test_a_non_finite_gradient_norm_moves_nothing():
+    params = {name: Tensor(np.arange(4, dtype=np.float32) + i, requires_grad=True)
+              for i, name in enumerate("ab")}
+    opt = AdamW(params)
+    for p in params.values():
+        p.grad = np.full(4, 0.5, dtype=np.float32)
+    opt.step(lr=0.1)
+    before = [opt._data.tobytes(), opt._m.tobytes(), opt._v.tobytes()]
+    params["b"].grad = np.array([1.0, np.nan, 0.0, 0.0], dtype=np.float32)
+    with pytest.raises(NonFiniteError, match="gradient norm nan"):
+        opt.step(lr=0.1)
+    assert opt.t == 1
+    assert [opt._data.tobytes(), opt._m.tobytes(), opt._v.tobytes()] == before
+
+
+def test_a_step_allocates_nothing_of_the_tables_size():
+    # tracemalloc sees numpy's buffers; one float32 temporary of the table,
+    # or a float64 cast of its largest tensor, would cross the bound alone
+    rng = np.random.default_rng(5)
+    params = {name: Tensor(rng.normal(size=shape), requires_grad=True)
+              for name, shape in (("w", (100, 300)), ("b", (10000,)))}
+    opt = AdamW(params)
+    assert opt._data.size == 40_000
+    for p in params.values():
+        p.grad = rng.normal(size=p.shape).astype(np.float32)  # norm about 200: clipped
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        assert opt.step(lr=0.01) > MAX_GRAD_NORM
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < opt._data.nbytes / 2
