@@ -9,8 +9,8 @@ only the file sets. The seed in effect is printed at the top of every
 report so a result can always be traced back to its run.
 
 Exit codes: 0 success, 2 configuration problem (bad flag, bad config key),
-3 data problem (unreadable file, bad label, missing prediction), 4 the
-run diverged.
+3 data problem (unreadable, non-regular or too large a file, bad label,
+missing prediction), 4 the run diverged.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ import os
 import sys
 from pathlib import Path
 from types import SimpleNamespace
+
+import numpy as np
 
 from .data import (
     Example,
@@ -332,6 +334,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
     corpus_path = _require(cfg, "data", args.command)
     out = Path(_require(cfg, "out", args.command))
+    schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
     try:
         raw = read_utf8(corpus_path)
     except OSError as e:
@@ -345,7 +348,6 @@ def cmd_pretrain(args) -> int:
 
     vocab = build_vocab(sentences, target_size=cfg.vocab_target_size)
     config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
-    schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
     _make_out(out)
     params, losses = pretrain_mlm(sentences, vocab, config, schedule)
 
@@ -425,7 +427,10 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:
-        return args.func(args)
+        # every overflow ends in an explicit check that names it, so numpy's
+        # own warnings would only repeat it, source lines and all
+        with np.errstate(all="ignore"):
+            return args.func(args)
     except (ConfigError, MemoryError) as e:  # MemoryError: a size no machine holds
         print(f"error: {e}", file=sys.stderr)
         return 2

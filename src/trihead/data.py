@@ -30,7 +30,7 @@ from .autograd import Tensor
 from .encoder import EncoderConfig, param_specs
 from .errors import CheckpointFormatError, DataError
 from .metrics import TASK_LABELS, TASKS, TriLabel
-from .textpipe import EmojiMap, Vocab, read_utf8
+from .textpipe import EmojiMap, Vocab, open_regular, read_utf8
 from .train import POOLER_KINDS, Checkpoint, model_param_specs
 
 DATASET_HEADER = ("id", "text", *TASKS)
@@ -122,31 +122,25 @@ def _read_lines(path) -> tuple:
     return lines, tuple(lines[0].split("\r", 1)[0].split("\t")) == DATASET_HEADER
 
 
-def _triple(triples: dict, labels: list, path, lineno: int, row_id: str) -> TriLabel:
-    """The row's TriLabel, built and checked once per distinct label triple
-    in a file (triples is that file's own table), so a bad label still
-    fails at the first line that holds it."""
-    key = tuple(labels)
-    triple = triples.get(key)
-    if triple is None:
-        try:
-            triple = triples[key] = TriLabel(*labels)
-        except DataError as e:
-            raise DataError(f"{path}:{lineno} (id {row_id!r}): {e}") from None
-    return triple
+def _triple(labels: list, path, lineno: int, row_id: str) -> TriLabel:
+    """The row's TriLabel; a bad label's error names the file, line and id."""
+    try:
+        return TriLabel(*labels)
+    except DataError as e:
+        raise DataError(f"{path}:{lineno} (id {row_id!r}): {e}") from None
 
 
 def load_dataset(path) -> list:
     """Parse a labeled TSV into Examples; every label is validated against
     its closed set, ids must be unique, and a header-only file is simply an
     empty dataset."""
-    examples, triples = [], {}
+    examples = []
     for lineno, (row_id, text, *labels) in _read_rows(path, _read_lines(path)[0],
                                                      DATASET_HEADER):
         if not text:
             raise DataError(f"{path}:{lineno}: empty text for id {row_id!r}")
         examples.append(Example(id=row_id, text=text,
-                                labels=_triple(triples, labels, path, lineno, row_id)))
+                                labels=_triple(labels, path, lineno, row_id)))
     return examples
 
 
@@ -156,7 +150,7 @@ def write_dataset(examples, path) -> None:
         for piece, what in ((ex.id, "id"), (ex.text, "text")):
             if "\t" in piece or "\n" in piece:
                 raise DataError(f"{what} of {ex.id!r} contains a tab or newline")
-        lines.append("\t".join((ex.id, ex.text, *map(ex.labels.get, TASKS))))
+        lines.append("\t".join((ex.id, ex.text, *ex.labels)))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -173,14 +167,14 @@ def load_labels(path) -> dict:
     id + three-label TSV (the shape a scorer receives)."""
     lines, is_dataset = _read_lines(path)
     header = DATASET_HEADER if is_dataset else LABELS_HEADER
-    out, triples = {}, {}
+    out = {}
     for lineno, (row_id, *rest) in _read_rows(path, lines, header):
-        out[row_id] = _triple(triples, rest[-len(TASKS):], path, lineno, row_id)
+        out[row_id] = _triple(rest[-len(TASKS):], path, lineno, row_id)
     return out
 
 
 def class_distribution(dataset) -> DistributionTable:
-    counts = Counter(ex.labels.get(task) for ex in dataset for task in TASKS)
+    counts = Counter(label for ex in dataset for label in ex.labels)
     return DistributionTable(**{label.lower(): counts[label] for label in _LABELS},
                              total=len(dataset))
 
@@ -264,7 +258,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Read a checkpoint file back; every structural problem gets its own
     message (magic, version, header, parameter table against the spec,
     truncation, non-finite weights, trailing garbage)."""
-    raw = Path(path).read_bytes()
+    with open_regular(path, "rb") as fh:
+        raw = fh.read()
     if len(raw) < 12:
         raise CheckpointFormatError(f"{path}: file too short to be a checkpoint")
     if raw[:4] != CHECKPOINT_MAGIC:

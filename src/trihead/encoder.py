@@ -34,7 +34,7 @@ from .autograd import (
     transpose,
 )
 from .errors import ConfigError, DataError
-from .optim import AdamW, check_schedule, run_steps
+from .optim import AdamW, check_schedule, check_warmup, run_steps
 from .textpipe import RESERVED, UNK_ID, EncodedBatch, Vocab, batch_encode
 
 NEG_INF = -1e9
@@ -210,6 +210,7 @@ class PretrainSchedule:
         if self.steps < 1:
             raise ConfigError(f"steps must be >= 1, got {self.steps}")
         check_schedule(self)
+        check_warmup(self.warmup_steps, self.steps)
         if not 0.0 < self.mask_rate <= 1.0:
             raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
 

@@ -11,7 +11,9 @@ accuracy.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import asdict, dataclass
+from itertools import product
 from typing import Sequence
 
 from .errors import DataError
@@ -30,24 +32,35 @@ TASK_LABELS = {
 TASKS = tuple(TASK_LABELS)
 
 
-@dataclass(frozen=True)
-class TriLabel:
-    """One comment's three gold or predicted labels."""
+class TriLabel(namedtuple("TriLabel", TASKS)):
+    """One comment's three gold or predicted labels, in TASKS order: one of
+    the twelve TRIPLES, which TriLabel(...) hands back; others are a DataError."""
 
-    aggression: str
-    gender: str
-    communal: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        for task in TASKS:
-            value = getattr(self, task)
-            if value not in TASK_LABELS[task]:
-                raise DataError(
-                    f"invalid {task} label {value!r}; expected one of {TASK_LABELS[task]}"
-                )
+    def __new__(cls, *args, **kwargs):
+        labels = super().__new__(cls, *args, **kwargs) if kwargs else args
+        try:
+            return _TRIPLE_OF[labels]
+        except (KeyError, TypeError):  # TypeError: a label that cannot be hashed
+            labels = super().__new__(cls, *labels)  # the namedtuple's arity checks
+            task, value = next((t, v) for t, v in zip(TASKS, labels)
+                               if v not in TASK_LABELS[t])
+            raise DataError(
+                f"invalid {task} label {value!r}; expected one of {TASK_LABELS[task]}"
+            ) from None
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace hands back a prebuilt triple too
+        return cls(*iterable)
 
     def get(self, task: str) -> str:
         return getattr(self, task)
+
+
+# every valid triple, in the order of the heads' flattened class indices
+TRIPLES = tuple(tuple.__new__(TriLabel, labels) for labels in product(*TASK_LABELS.values()))
+_TRIPLE_OF = {t: t for t in TRIPLES}
 
 
 @dataclass(frozen=True)
@@ -139,11 +152,9 @@ def score_triples(gold: Sequence[TriLabel], pred: Sequence[TriLabel]) -> Metrics
     """Full report over parallel gold/predicted TriLabel sequences."""
     _validate_pair(gold, pred)
     scores = []
-    for task in TASKS:
-        g = [t.get(task) for t in gold]
-        p = [t.get(task) for t in pred]
+    for task, g, p in zip(TASKS, zip(*gold), zip(*pred)):
         precision, recall, f1 = micro_prf(g, p, task)
-        support = {c: sum(1 for v in g if v == c) for c in TASK_LABELS[task]}
+        support = {c: g.count(c) for c in TASK_LABELS[task]}
         scores.append(TaskScore(task, precision, recall, f1, support))
     report = MetricsReport(
         tasks=tuple(scores),

@@ -19,12 +19,18 @@ def lr_at(step: int, total_steps: int, config) -> float:
     if not 0 <= step <= total_steps:
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     warmup = int(config.warmup_steps)
-    if warmup >= total_steps:
-        raise ConfigError(f"warmup_steps ({warmup}) must be below total steps ({total_steps})")
+    check_warmup(warmup, total_steps)
     base = float(config.base_lr)
     if step < warmup:
         return base * step / warmup
     return base * (total_steps - step) / (total_steps - warmup)
+
+
+def check_warmup(warmup_steps: int, total_steps: int) -> None:
+    """A warmup must end before the run does."""
+    if warmup_steps >= total_steps:
+        raise ConfigError(f"warmup_steps ({warmup_steps}) must be below total steps "
+                          f"({total_steps})")
 
 
 def check_schedule(config) -> None:
@@ -152,7 +158,8 @@ def run_steps(opt: AdamW, batches, loss_terms, first: int, total_steps: int, sch
     clips the global gradient norm and updates at lr_at(step, total_steps,
     schedule). Returns a (step, lr, loss, *term values) row per step. A
     NonFiniteError from loss_terms, or a non-finite loss or gradient norm,
-    raises DivergenceError(step)."""
+    raises DivergenceError(step); so do non-finite parameters after the
+    last step."""
     rows = []
     for step, batch in enumerate(batches, start=first):
         try:
@@ -172,4 +179,8 @@ def run_steps(opt: AdamW, batches, loss_terms, first: int, total_steps: int, sch
         except NonFiniteError:
             raise DivergenceError(step, "gradient norm") from None
         rows.append((step, lr, value, *(term.item() for term in terms)))
+    # an update that overflows leaves non-finite weights; the next step's
+    # loss catches those it reads, and this check the rest
+    if rows and not np.isfinite(opt._data).all():
+        raise DivergenceError(rows[-1][0], "parameters")
     return rows

@@ -4,8 +4,9 @@ Plain functions over tensors; the parameters they take (query, projection,
 head weights) live in the model's name → Tensor table, which train.py
 builds. Attention pooling scores every token against the query q, softmaxes
 the scores (padding pushed to effectively zero weight), takes the weighted
-sum, and projects it by w_h. Mean pooling is the plain masked average. Both
-are followed by per-task linear heads over a shared pooled vector.
+sum, and projects it by w_h. Mean pooling is the masked average, weighted
+by the softmax of the padding bias alone. Both are followed by per-task
+linear heads over a shared pooled vector.
 """
 
 from __future__ import annotations
@@ -14,7 +15,10 @@ import numpy as np
 
 from .autograd import Tensor, add, linear, matmul, reshape, softmax
 from .encoder import key_mask_bias
-from .metrics import TASK_LABELS, TASKS
+from .errors import NonFiniteError
+from .metrics import TASK_LABELS, TASKS, TRIPLES
+
+_CLASS_COUNTS = tuple(len(TASK_LABELS[t]) for t in TASKS)
 
 
 def _check_mask(h: Tensor, mask: np.ndarray):
@@ -23,13 +27,6 @@ def _check_mask(h: Tensor, mask: np.ndarray):
         raise ValueError(f"mask shape {mask.shape} does not match hidden state ({b}, {l})")
     if (mask.sum(axis=1) == 0).any():
         raise ValueError("pooling over a fully masked row is undefined")
-
-
-def _uniform_weights(mask: np.ndarray, dtype) -> np.ndarray:
-    # divide in the target dtype; the result must match what a softmax over
-    # equal scores produces in that dtype, digit for digit
-    counts = mask.sum(axis=1, keepdims=True)
-    return mask.astype(dtype) / counts.astype(dtype)
 
 
 def attention_pool(h: Tensor, mask: np.ndarray, q: Tensor, w_h: Tensor) -> Tensor:
@@ -60,14 +57,14 @@ def attention_weights(h: Tensor, mask: np.ndarray, q: Tensor) -> np.ndarray:
 def mean_pool(h: Tensor, mask: np.ndarray) -> Tensor:
     """Average of the unmasked token states per row.
 
-    Implemented as a weight matrix product with uniform weights 1/n over
-    unmasked positions, the exact arithmetic a uniform-attention pool
-    performs, so the two agree bitwise when the query is zero.
+    Its weights are the softmax over the key mask's bias alone, 1/n at each
+    of a row's n unmasked positions: what attention_pool computes for a zero
+    query, so the two agree bitwise then. The weights take no gradient.
     """
     _check_mask(h, mask)
     b, l, d = h.shape
-    weights = Tensor(_uniform_weights(mask, h.data.dtype).reshape(b, 1, l), dtype=h.dtype)
-    return reshape(matmul(weights, h), (b, d))
+    weights = softmax(key_mask_bias(mask, h.dtype), axis=-1)
+    return reshape(matmul(reshape(weights, (b, 1, l)), h), (b, d))
 
 
 def logits_for(pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -78,11 +75,13 @@ def logits_for(pooled: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def predict_labels(logits: dict) -> list:
     """Argmax per task over its logits (or its probabilities: softmax keeps
-    the order), ties to the lowest class index; returns a list of
-    (aggression, gender, communal) label-string triples."""
-    n = logits[TASKS[0]].shape[0]
-    picks = {t: logits[t].data.argmax(axis=-1) for t in TASKS}
-    out = []
-    for i in range(n):
-        out.append(tuple(TASK_LABELS[t][int(picks[t][i])] for t in TASKS))
-    return out
+    the order), ties to the lowest class index; returns one of the twelve
+    metrics.TRIPLES per row, the one at the heads' flattened class index.
+    Logits holding NaN or Inf name no class: a NonFiniteError."""
+    picks = []
+    for task in TASKS:
+        scores = logits[task].data
+        if not np.isfinite(scores).all():
+            raise NonFiniteError(f"predict_labels: {task} logits contain NaN or Inf")
+        picks.append(scores.argmax(axis=-1))
+    return [TRIPLES[i] for i in np.ravel_multi_index(picks, _CLASS_COUNTS).tolist()]

@@ -8,9 +8,12 @@ Everything downstream assumes normalize() has already run.
 
 from __future__ import annotations
 
+import os
 import re
+import stat
 import unicodedata
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import chain
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
@@ -61,12 +64,28 @@ def _strip_punctuation(text: str) -> str:
     return text.translate(_PUNCTUATION)
 
 
+@contextmanager
+def open_regular(path, mode="r", **kwargs):
+    """open(path, mode, **kwargs), for a regular file only: anything else
+    (a FIFO, a device, a directory) is a DataError naming the path before
+    any open, which would wait for a FIFO's writer or read a device without
+    end. Running out of memory in the block is a DataError naming the file."""
+    info = os.stat(path)
+    if not stat.S_ISREG(info.st_mode):
+        raise DataError(f"{path}: not a regular file")
+    try:
+        with open(path, mode, **kwargs) as fh:
+            yield fh
+    except MemoryError:
+        raise DataError(f"{path}: too large to read ({info.st_size} bytes)") from None
+
+
 def read_utf8(path, newline=None) -> str:
     """The whole file as text, less a leading byte-order mark; a file that
     is not UTF-8 is a DataError naming it and the first bad byte (counted
     from the file's start, BOM included, which utf-8-sig would not do)."""
     try:
-        with open(path, encoding="utf-8", newline=newline) as fh:
+        with open_regular(path, encoding="utf-8", newline=newline) as fh:
             return fh.read().removeprefix("\ufeff")
     except UnicodeDecodeError as e:
         raise DataError(f"{path}: not UTF-8 text ({e.reason} at byte {e.start})") from None

@@ -26,8 +26,8 @@ from .errors import (
     DivergenceError,
     NonFiniteError,
 )
-from .metrics import TASK_LABELS, TASKS, MetricsReport, TriLabel, score_triples
-from .optim import AdamW, check_schedule, run_steps
+from .metrics import TASK_LABELS, TASKS, MetricsReport, score_triples
+from .optim import AdamW, check_schedule, check_warmup, run_steps
 from .pooling import attention_pool, logits_for, mean_pool, predict_labels
 from .textpipe import EmojiMap, EncodedBatch, Vocab, batch_encode, normalize
 
@@ -156,11 +156,9 @@ def _encode(texts, vocab, config, emoji_map) -> EncodedBatch:
 
 
 def _targets(dataset) -> dict:
-    return {
-        t: np.asarray([TASK_LABELS[t].index(ex.labels.get(t)) for ex in dataset],
-                      dtype=np.int64)
-        for t in TASKS
-    }
+    columns = zip(*(ex.labels for ex in dataset))
+    return {t: np.asarray([TASK_LABELS[t].index(v) for v in column], dtype=np.int64)
+            for t, column in zip(TASKS, columns)}
 
 
 def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
@@ -184,6 +182,10 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     dataset = list(dataset)
     if not dataset:
         raise DataError("train: empty dataset")
+    n = len(dataset)
+    batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
+    total_steps = config.epochs * batches_per_epoch
+    check_warmup(config.warmup_steps, total_steps)
     encoded = _encode([ex.text for ex in dataset], vocab, encoder, emoji_map)
     targets = _targets(dataset)
     if dev is not None:
@@ -219,10 +221,6 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     rng_order = np.random.default_rng(ss_order)
     rng_drop = np.random.default_rng(ss_drop)
     opt = AdamW(stepped)
-
-    n = len(dataset)
-    batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * batches_per_epoch
 
     def task_losses(pick):
         logits = forward_logits(params, encoder, config.pooler, encoded.cut(pick),
@@ -268,7 +266,7 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
 
 
 def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch) -> list:
-    """Label triples for every row of encoded, in its row order.
+    """The TriLabel of every row of encoded, in its row order.
 
     Rows run shortest first, in chunks of PREDICT_CHUNK, and each chunk is
     cut to its longest real row (EncodedBatch.cut, as training batches
@@ -303,20 +301,18 @@ def predict(checkpoint: Checkpoint, texts) -> list:
         return []
     encoded = _encode(texts, checkpoint.vocab, checkpoint.config, checkpoint.emoji_map)
     try:
-        triples = _predict_encoded(checkpoint.params, checkpoint.config,
-                                   checkpoint.pooler_kind, encoded)
+        return _predict_encoded(checkpoint.params, checkpoint.config,
+                                checkpoint.pooler_kind, encoded)
     except NonFiniteError:
         # every loaded weight is finite, so the weights overflow float32
         raise CheckpointFormatError(
             "the model's forward pass overflows float32: its weights are out of range"
         ) from None
-    return [TriLabel(*t) for t in triples]
 
 
 def _evaluate_params(params, config, pooler_kind, encoded: EncodedBatch, gold) -> MetricsReport:
     """Score the labels params predict for encoded's rows against gold."""
-    triples = _predict_encoded(params, config, pooler_kind, encoded)
-    return score_triples(gold, [TriLabel(*t) for t in triples])
+    return score_triples(gold, _predict_encoded(params, config, pooler_kind, encoded))
 
 
 def evaluate(checkpoint: Checkpoint, dataset) -> MetricsReport:

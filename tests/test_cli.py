@@ -389,8 +389,6 @@ def test_pretrain_rejects_a_negative_warmup_as_train_does(tmp_path, capsys):
     assert not (tmp_path / "run" / "pretrain_trace.csv").exists()
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergent_run_exits_4(tmp_path, capsys):
     code, _, err = run(capsys, "train", "--data", TRAIN_TSV,
                        "--epochs", "30", "--d-model", "16", "--n-heads", "2",
@@ -400,8 +398,6 @@ def test_divergent_run_exits_4(tmp_path, capsys):
     assert "step" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_divergent_pretrain_exits_4(tmp_path, capsys):
     code, _, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT,
                        "--out", str(tmp_path / "pre"), "--steps", "40", "--lr", "1e6",
@@ -437,8 +433,6 @@ def test_nan_gradient_exits_4_at_the_poisoned_step(tmp_path, capsys, monkeypatch
     assert len(calls) == 3
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 def test_dev_eval_overflow_exits_4_naming_the_last_step(tmp_path, capsys):
     # one huge step leaves finite weights whose dev forward overflows
     code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--dev", DEV_TSV,
@@ -501,6 +495,77 @@ def test_size_no_memory_holds_is_a_config_error(tmp_path, argv, row_tokens, mess
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith("error: ")
     assert message in proc.stderr
+
+
+def run_capped(argv, cwd, cap=ADDRESS_SPACE_CAP, seconds=CASE_SECONDS):
+    """`trihead argv` in a subprocess in cwd, its address space capped, so
+    that reading without end fails the test instead of the machine."""
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+    return subprocess.run(
+        [sys.executable, "-m", "trihead.cli", *argv], cwd=cwd, preexec_fn=limit,
+        capture_output=True, text=True, timeout=seconds,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": os.pathsep.join(sys.path)})
+
+
+# one command per flag that names an input file, the file last
+INPUT_FLAGS = {
+    "--model": ["eval", "--data", TRAIN_TSV, "--model"],
+    "--data": ["stats", "--data"],
+    "--corpus": ["pretrain", "--out", "run", "--corpus"],
+    "--emoji-map": ["train", "--data", TRAIN_TSV, "--out", "run", "--emoji-map"],
+    "--config": ["stats", "--data", TRAIN_TSV, "--config"],
+    "--encoder": ["train", "--data", TRAIN_TSV, "--out", "run", "--encoder"],
+}
+
+
+@pytest.mark.parametrize("kind", ["dev-zero", "fifo"])
+@pytest.mark.parametrize("flag", list(INPUT_FLAGS))
+def test_non_regular_input_file_exits_3_at_once(tmp_path, flag, kind):
+    # /dev/zero reads without end; opening a FIFO waits for a writer that never comes
+    path = "/dev/zero"
+    if kind == "fifo":
+        path = str(tmp_path / "fifo")
+        os.mkfifo(path)
+    proc = run_capped([*INPUT_FLAGS[flag], path], tmp_path)
+    assert (proc.returncode, proc.stderr) == (3, f"error: {path}: not a regular file\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("argv", [["stats", "--data"], ["eval", "--data", TRAIN_TSV, "--model"]],
+                         ids=["text", "checkpoint"])
+def test_input_file_too_large_to_read_names_itself(tmp_path, argv):
+    big = tmp_path / "big.tsv"
+    with open(big, "wb") as fh:
+        fh.truncate(3 << 30)  # sparse: takes no disk
+    proc = run_capped([*argv, str(big)], tmp_path, cap=1536 << 20)
+    assert (proc.returncode, proc.stderr) == (
+        3, f"error: {big}: too large to read ({3 << 30} bytes)\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["train", "--data", TRAIN_TSV, "--d-model", "16", "--max-len", "12",
+      "--base-lr", "1e30"], "non-finite gradient norm at step 1"),
+    (["pretrain", "--corpus", CORPUS_TXT, "--out", "run", "--lr", "1e300",
+      "--d-model", "16", "--max-len", "16"], "non-finite loss at step 1"),
+    # one step whose update overflows: no later step reads the weights
+    (["train", "--data", TRAIN_TSV, "--d-model", "16", "--max-len", "12",
+      "--base-lr", "1e300", "--batch-size", "100000", "--epochs", "1"],
+     "non-finite parameters at step 0"),
+    (["pretrain", "--corpus", CORPUS_TXT, "--out", "run", "--lr", "1e300", "--steps", "1",
+      "--d-model", "16", "--max-len", "16"], "non-finite parameters at step 0"),
+], ids=["train", "pretrain", "train-one-step", "pretrain-one-step"])
+def test_diverged_run_prints_one_error_line(tmp_path, argv, message):
+    proc = run_capped(argv, tmp_path, seconds=60)
+    assert (proc.returncode, proc.stderr) == (4, f"error: {message}\n")
+
+
+def test_warmup_as_long_as_the_run_is_refused_before_any_work(tmp_path, capsys):
+    code, _, err = run(capsys, "pretrain", "--corpus", str(tmp_path / "absent.txt"),
+                       "--out", str(tmp_path / "run"), "--steps", "5", "--warmup-steps", "5")
+    assert (code, err) == (2, "error: warmup_steps (5) must be below total steps (5)\n")
+    assert not (tmp_path / "run").exists()
 
 
 # ---------------------------------------------------------------------------
@@ -733,8 +798,6 @@ def test_a_checkpoint_whose_emoji_map_key_normalize_keeps_exits_3(trained, tmp_p
     assert "emoji map: key 'ab' holds no emoji or punctuation" in err
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @pytest.mark.parametrize("name, value, message", [
     ("encoder.tok_emb", math.nan, "parameter 'encoder.tok_emb' contains NaN or Inf"),
     ("encoder.tok_emb", math.inf, "parameter 'encoder.tok_emb' contains NaN or Inf"),
@@ -841,8 +904,6 @@ def test_every_header_value_swap_ends_in_an_exit_code(tiny_model):
     assert cases > 1000
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(cut=st.none() | st.integers(min_value=1),
        flips=st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 255)), max_size=4),
@@ -938,8 +999,6 @@ FUZZ_CONFIG = {"data": "gold.tsv", "epochs": 1, "n_layers": 1, "d_model": 16,
                "n_heads": 2, "d_ff": 32, "max_len": 12}
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(derandomize=True, database=None, deadline=None, max_examples=120)
 @given(edits=st.dictionaries(st.sampled_from(CONFIG_KEYS), st.sampled_from(CONFIG_JUNK),
                              max_size=2),

@@ -15,6 +15,8 @@ from trihead.metrics import (
     COMMUNAL_LABELS,
     GENDER_LABELS,
     TASK_LABELS,
+    TASKS,
+    TRIPLES,
     MetricsReport,
     TriLabel,
     instance_f1,
@@ -203,6 +205,33 @@ def test_trilabel_validation():
         TriLabel("NAG", "X", "NCOM")
     with pytest.raises(DataError, match="communal"):
         TriLabel("NAG", "NGEN", "")
+
+
+def test_trilabel_hands_back_the_prebuilt_triple():
+    combos = list(itertools.product(AGGRESSION_LABELS, GENDER_LABELS, COMMUNAL_LABELS))
+    assert TRIPLES == tuple(combos)  # the heads' flattened class order
+    for i, labels in enumerate(combos):
+        assert TriLabel(*labels) is TRIPLES[i]
+        assert TriLabel(**dict(zip(TASKS, labels))) is TRIPLES[i]
+        assert TRIPLES[i]._replace(aggression="OAG") is TriLabel("OAG", *labels[1:])
+    assert repr(TRIPLES[0]) == "TriLabel(aggression='NAG', gender='NGEN', communal='NCOM')"
+    assert tuple(TRIPLES[-1]) == tuple(TRIPLES[-1].get(t) for t in TASKS)
+
+
+@pytest.mark.parametrize("labels, message", [
+    (("BAD", "NGEN", "NCOM"),
+     "invalid aggression label 'BAD'; expected one of ('NAG', 'CAG', 'OAG')"),
+    (("NAG", "X", "NCOM"), "invalid gender label 'X'; expected one of ('NGEN', 'GEN')"),
+    (("NAG", "NGEN", ""), "invalid communal label ''; expected one of ('NCOM', 'COM')"),
+    (("NAG", ["GEN"], "NCOM"),
+     "invalid gender label ['GEN']; expected one of ('NGEN', 'GEN')"),
+])
+def test_trilabel_names_the_first_bad_label(labels, message):
+    with pytest.raises(DataError) as err:
+        TriLabel(*labels)
+    assert str(err.value) == message
+    with pytest.raises(DataError):
+        TRIPLES[0]._replace(**dict(zip(TASKS, labels)))
 
 
 @given(st.integers(1, 12), st.integers(0, 2**32 - 1))

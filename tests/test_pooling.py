@@ -5,11 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import trihead.pooling
 from trihead.autograd import Tensor, cross_entropy, grad_check, softmax
 from trihead.encoder import EncoderConfig
-from trihead.metrics import TASKS
+from trihead.errors import NonFiniteError
+from trihead.metrics import TASK_LABELS, TASKS, TRIPLES
 from trihead.pooling import (
     attention_pool,
     attention_weights,
@@ -256,6 +260,45 @@ def test_tie_breaks_to_lowest_class_index():
     table = fresh_table(4)  # all-zero heads: every class tied
     labels = predict_labels(probabilities(Tensor(np.zeros((2, 4))), table))
     assert labels == [("NAG", "NGEN", "NCOM")] * 2
+
+
+# each task's logits, drawn from a few values so that rows hold ties
+TIED_LOGITS = st.integers(0, 40).flatmap(lambda n: st.tuples(*(
+    arrays(np.float32, (n, len(TASK_LABELS[t])),
+           elements=st.sampled_from([-1.5, 0.0, 0.0, 2.25, 1e30, -3e-39]))
+    for t in TASKS)))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(TIED_LOGITS)
+def test_predict_labels_is_a_per_row_argmax_through_task_labels(columns):
+    logits = {t: Tensor(c) for t, c in zip(TASKS, columns)}
+    want = []
+    for i in range(columns[0].shape[0]):
+        # the first of a row's largest scores: the lowest index wins a tie
+        want.append(tuple(TASK_LABELS[t][list(c[i]).index(max(c[i]))]
+                          for t, c in zip(TASKS, columns)))
+    got = predict_labels(logits)
+    assert got == want
+    assert all(label in TRIPLES for label in got)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_labels_refuses_non_finite_logits(bad):
+    logits = {t: Tensor(np.zeros((3, len(TASK_LABELS[t])))) for t in TASKS}
+    logits["gender"].data[1, 0] = bad
+    with pytest.raises(NonFiniteError, match="gender logits contain NaN or Inf"):
+        predict_labels(logits)
+
+
+def test_mean_pool_records_no_node_for_its_weights():
+    h = Tensor(rand_h(2, 5, 4, seed=21).data, requires_grad=True)
+    out = mean_pool(h, mask_of([3, 5], 5))
+    # reshape ← matmul ← (reshape of the constant weights, h): the weights
+    # hold no node, so the matmul's only graph input is h
+    matmul_node = out.node.inputs[0].node
+    assert [t.node for t in matmul_node.inputs] == [None, None]
+    assert matmul_node.inputs[1] is h
 
 
 def test_model_table_tail_order_and_shapes():

@@ -109,6 +109,21 @@ def test_lr_warmup_must_fit_inside_run():
         lr_at(0, 10, cfg(warmup_steps=10))
 
 
+def test_warmup_as_long_as_the_run_is_refused_before_any_work(monkeypatch):
+    message = r"^warmup_steps \(6\) must be below total steps \(6\)$"
+    with pytest.raises(ConfigError, match=message):
+        PretrainSchedule(steps=6, warmup_steps=6)
+    data = toy_dataset(24)
+
+    def no_work(*args):
+        raise AssertionError("train encoded its texts before refusing the warmup")
+
+    monkeypatch.setattr(importlib.import_module("trihead.train"), "_encode", no_work)
+    # 24 rows in batches of 8 over 2 epochs: 6 steps
+    with pytest.raises(ConfigError, match=message):
+        train(data, cfg(epochs=2, batch_size=8, warmup_steps=6), *toy_init(data))
+
+
 # ---------------------------------------------------------------------------
 # config validation
 
