@@ -122,7 +122,9 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     data = a.data + b.data  # numpy raises on incompatible shapes
 
     def backward(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        # a constant operand, such as the key-mask bias, takes no gradient
+        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), backward)
 
@@ -213,18 +215,23 @@ def merge_heads(x: Tensor) -> Tensor:
 
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable softmax along one axis (max-subtraction before exp)."""
+    """Stable softmax along one axis (max-subtraction before exp); each
+    direction fills one buffer of x's size in place."""
     if x.shape == () or x.shape[axis] < 1:
         raise ValueError(f"softmax: axis {axis} of shape {x.shape} is empty")
     if not np.isfinite(x.data).all():
         raise NonFiniteError("softmax: input contains NaN or Inf")
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = x.data - x.data.max(axis=axis, keepdims=True)
+    np.exp(y, out=y)
+    y /= np.add.reduce(y, axis=axis, keepdims=True)
 
     def backward(g):
-        inner = (g * y).sum(axis=axis, keepdims=True)
-        return (y * (g - inner),)
+        # y * (g - Σ g·y), its terms written into the one buffer
+        gx = g * y
+        inner = np.add.reduce(gx, axis=axis, keepdims=True)
+        np.subtract(g, inner, out=gx)
+        gx *= y
+        return (gx,)
 
     return _from_op(y, (x,), backward)
 
@@ -265,22 +272,46 @@ def gelu(x: Tensor) -> Tensor:
 
 
 def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
-    """Normalize the last axis to mean 0, variance 1, then apply the affine."""
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = centered * inv_std
-    data = xhat * gamma.data + beta.data
+    """Normalize the last axis to mean 0, variance 1, then apply the affine
+    of gamma and beta, both shaped (d,). Each mean is np.add.reduce, then
+    /= d, the arithmetic of np.mean, and every term of either direction is
+    written into a buffer the rule already holds."""
+    d = x.shape[-1]
+    if gamma.shape != (d,) or beta.shape != (d,):
+        raise ValueError(f"layer_norm: shapes disagree, {x.shape} with gamma {gamma.shape} "
+                         f"and beta {beta.shape}")
+    lead = tuple(range(x.ndim - 1))
+    mu = np.add.reduce(x.data, axis=-1, keepdims=True)
+    mu /= d
+    xhat = x.data - mu
+    inv_std = np.add.reduce(xhat * xhat, axis=-1, keepdims=True)
+    inv_std /= d
+    inv_std += _LN_EPS
+    np.sqrt(inv_std, out=inv_std)
+    np.divide(1.0, inv_std, out=inv_std)
+    xhat *= inv_std
+    data = xhat * gamma.data
+    data += beta.data
 
     def backward(g):
-        gbeta = _unbroadcast(g, beta.shape)
-        ggamma = _unbroadcast(g * xhat, gamma.shape)
+        # inv_std · (gxhat - mean(gxhat) - xhat · mean(gxhat · xhat)), with
+        # gxhat = g · gamma; tmp holds g·xhat, then gxhat·xhat, then xhat·m2
+        tmp = g * xhat
+        if lead:
+            gbeta, ggamma = g.sum(axis=lead), tmp.sum(axis=lead)
+        else:  # nothing to sum, and a sum would turn -0 into +0
+            gbeta, ggamma = g.copy(), tmp.copy()
         gxhat = g * gamma.data
-        m1 = gxhat.mean(axis=-1, keepdims=True)
-        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
-        gx = inv_std * (gxhat - m1 - xhat * m2)
-        return gx.astype(x.dtype, copy=False), ggamma, gbeta
+        m1 = np.add.reduce(gxhat, axis=-1, keepdims=True)
+        m1 /= d
+        np.multiply(gxhat, xhat, out=tmp)
+        m2 = np.add.reduce(tmp, axis=-1, keepdims=True)
+        m2 /= d
+        gxhat -= m1
+        np.multiply(xhat, m2, out=tmp)
+        gxhat -= tmp
+        gxhat *= inv_std
+        return gxhat.astype(x.dtype, copy=False), ggamma, gbeta
 
     return _from_op(data, (x, gamma, beta), backward)
 
@@ -344,16 +375,17 @@ def cross_entropy(logits: Tensor, targets) -> Tensor:
         raise IndexError(f"cross_entropy: target {bad} out of range [0, {c})")
     m = logits.data.max(axis=1, keepdims=True)
     shifted = logits.data - m
-    lse = np.log(np.exp(shifted).sum(axis=1))
+    e = np.exp(shifted)  # kept: backward's softmax divides it by its row sums
+    sums = np.add.reduce(e, axis=1)
+    lse = np.log(sums)
     rows = np.arange(b)
     losses = lse - shifted[rows, targets]
     data = np.asarray(losses.mean(), dtype=logits.dtype)
 
     def backward(g):
-        p = np.exp(shifted)
-        p /= p.sum(axis=1, keepdims=True)
+        p = e / sums[:, None]
         p[rows, targets] -= 1.0
-        return ((g / b) * p.astype(logits.dtype, copy=False),)
+        return ((g / b) * p,)
 
     return _from_op(data, (logits,), backward)
 

@@ -38,6 +38,7 @@ from .data import (
 from .encoder import EncoderConfig, PretrainSchedule, pretrain_mlm
 from .errors import CheckpointFormatError, ConfigError, DataError, DivergenceError
 from .metrics import score_triples
+from .optim import check_warmup
 from .textpipe import EmojiMap, balance, build_vocab, normalize, read_utf8
 from .train import (
     POOLER_KINDS,
@@ -249,24 +250,31 @@ def cmd_train(args) -> int:
 
     # built before balance, which would fail on a seed TrainConfig rejects
     train_config = _library_config(TrainConfig, cfg)
+    if cfg.balance:
+        dataset = balance(dataset, seed=cfg.seed)
+    if dataset:  # an empty one is train()'s to refuse
+        check_warmup(train_config.warmup_steps, train_config.total_steps(len(dataset)))
     out = Path(cfg.out) if cfg.out else None
     if out:
         _make_out(out)
-    if cfg.balance:
-        dataset = balance(dataset, seed=cfg.seed)
 
     result = train(dataset, train_config, config, vocab, dev=dev,
                    emoji_map=emoji_map, pretrained=pretrained)
+
+    if dev is not None:
+        report = result.dev_history[result.best_epoch]
+    else:
+        try:
+            report = evaluate(result.checkpoint, dataset)
+        except CheckpointFormatError:
+            # the weights the last step left are finite, or run_steps would
+            # have said so, yet their forward pass overflows: the run diverged
+            raise DivergenceError(len(result.trace) - 1, "train-eval activations") from None
 
     if out:
         save_checkpoint(result.checkpoint, out / "model.ckpt")
         (out / "trace.csv").write_text(trace_to_csv(result.trace),
                                        encoding="utf-8")
-
-    if dev is not None:
-        report = result.dev_history[result.best_epoch]
-    else:
-        report = evaluate(result.checkpoint, dataset)
     _print_report(report, cfg.seed)
     return 0
 

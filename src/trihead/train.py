@@ -57,6 +57,10 @@ class TrainConfig:
             raise ConfigError(f"freeze must be a list of prefixes, not the string {self.freeze!r}")
         object.__setattr__(self, "freeze", tuple(self.freeze))
 
+    def total_steps(self, n_rows: int) -> int:
+        """Optimizer steps over n_rows: one per batch, every epoch."""
+        return self.epochs * -(-n_rows // self.batch_size)
+
 
 @dataclass
 class Checkpoint:
@@ -183,8 +187,7 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     if not dataset:
         raise DataError("train: empty dataset")
     n = len(dataset)
-    batches_per_epoch = (n + config.batch_size - 1) // config.batch_size
-    total_steps = config.epochs * batches_per_epoch
+    total_steps = config.total_steps(n)
     check_warmup(config.warmup_steps, total_steps)
     encoded = _encode([ex.text for ex in dataset], vocab, encoder, emoji_map)
     targets = _targets(dataset)

@@ -2,9 +2,12 @@
 
 import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trihead import autograd
 from trihead.autograd import (
@@ -297,6 +300,14 @@ def test_grad_check_layer_norm_all_three_inputs():
     _check(fb, Tensor(b0, dtype=np.float64))
 
 
+def test_layer_norm_wants_gamma_and_beta_shaped_like_the_last_axis():
+    # backward sums their gradients over every leading axis, to shape (d,)
+    x = Tensor(np.zeros((2, 3)))
+    for gamma, beta in (((1, 3), (3,)), ((3,), (2, 3)), ((4,), (4,))):
+        with pytest.raises(ValueError, match=r"layer_norm: shapes disagree, \(2, 3\)"):
+            layer_norm(x, Tensor(np.ones(gamma)), Tensor(np.zeros(beta)))
+
+
 def test_grad_check_softmax_weighted():
     rng = np.random.default_rng(10)
     w = rng.normal(size=(2, 6))
@@ -501,3 +512,206 @@ def test_a_float32_op_keeps_float32_forward_and_backward(op):
     for g, inp in zip(grads, out.node.inputs):
         assert g.dtype == np.float32, f"{op}: gradient of a {inp.shape} input is {g.dtype}"
         assert g.shape == inp.shape
+
+
+# ---------------------------------------------------------------------------
+# the in-place rules give the bits of the rules they replaced
+
+
+def unbroadcast_ref(grad, shape):
+    extra = grad.ndim - len(shape)
+    if extra > 0:
+        grad = grad.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
+    if axes:
+        grad = grad.sum(axis=axes, keepdims=True)
+    return grad.reshape(shape)
+
+
+# The former rules, verbatim but for returning (output, backward) in place
+# of a Tensor: every activation-sized term a fresh array, and each mean np.mean.
+
+def add_ref(a, b):
+    data = a.data + b.data
+
+    def backward(g):
+        return unbroadcast_ref(g, a.shape), unbroadcast_ref(g, b.shape)
+
+    return data, backward
+
+
+def softmax_ref(x, axis=-1):
+    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=axis, keepdims=True)
+
+    def backward(g):
+        inner = (g * y).sum(axis=axis, keepdims=True)
+        return (y * (g - inner),)
+
+    return y, backward
+
+
+def layer_norm_ref(x, gamma, beta):
+    mu = x.data.mean(axis=-1, keepdims=True)
+    centered = x.data - mu
+    var = (centered * centered).mean(axis=-1, keepdims=True)
+    inv_std = 1.0 / np.sqrt(var + autograd._LN_EPS)
+    xhat = centered * inv_std
+    data = xhat * gamma.data + beta.data
+
+    def backward(g):
+        gbeta = unbroadcast_ref(g, beta.shape)
+        ggamma = unbroadcast_ref(g * xhat, gamma.shape)
+        gxhat = g * gamma.data
+        m1 = gxhat.mean(axis=-1, keepdims=True)
+        m2 = (gxhat * xhat).mean(axis=-1, keepdims=True)
+        gx = inv_std * (gxhat - m1 - xhat * m2)
+        return gx.astype(x.dtype, copy=False), ggamma, gbeta
+
+    return data, backward
+
+
+def cross_entropy_ref(logits, targets):
+    targets = np.asarray(targets, dtype=np.int64)
+    b, c = logits.shape
+    m = logits.data.max(axis=1, keepdims=True)
+    shifted = logits.data - m
+    lse = np.log(np.exp(shifted).sum(axis=1))
+    rows = np.arange(b)
+    losses = lse - shifted[rows, targets]
+    data = np.asarray(losses.mean(), dtype=logits.dtype)
+
+    def backward(g):
+        p = np.exp(shifted)
+        p /= p.sum(axis=1, keepdims=True)
+        p[rows, targets] -= 1.0
+        return ((g / b) * p.astype(logits.dtype, copy=False),)
+
+    return data, backward
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@st.composite
+def rule_cases(draw):
+    """A dtype, an upstream-gradient dtype (the op's own, or float64), a
+    shape of leading axes (1 among them) and a last axis of 1 to 64, a
+    value scale and a seed."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    g_dtype = draw(st.sampled_from([dtype, np.float64]))
+    lead = draw(st.lists(st.sampled_from([1, 2, 3, 8]), max_size=3))
+    d = draw(st.integers(1, 64))
+    return (dtype, g_dtype, (*lead, d), draw(st.sampled_from([1e-3, 1.0, 30.0])),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+def check_rule(new, ref, inputs, g):
+    """Output and every gradient of new equal ref's, bit for bit and dtype."""
+    out = new(*inputs)
+    want, want_backward = ref(*inputs)
+    assert_same_bits(out.data, want)
+    got_grads = out.node.backward_fn(g)
+    want_grads = want_backward(g)
+    assert len(got_grads) == len(want_grads) == len(inputs)
+    for got, ref_grad in zip(got_grads, want_grads):
+        assert_same_bits(got, ref_grad)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases())
+def test_layer_norm_gives_the_former_rules_bits(case):
+    dtype, g_dtype, shape, size, seed = case
+    rng = np.random.default_rng(seed)
+    x, gamma, beta = (Tensor(size * rng.normal(size=s) + 0.5, requires_grad=True, dtype=dtype)
+                      for s in (shape, shape[-1:], shape[-1:]))
+    check_rule(layer_norm, layer_norm_ref, (x, gamma, beta),
+               rng.normal(size=shape).astype(g_dtype))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases(), st.sampled_from([-1, 0]))
+def test_softmax_gives_the_former_rules_bits(case, axis):
+    dtype, g_dtype, shape, size, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(size * rng.normal(size=shape), requires_grad=True, dtype=dtype)
+    check_rule(lambda t: softmax(t, axis=axis), lambda t: softmax_ref(t, axis=axis), (x,),
+               rng.normal(size=shape).astype(g_dtype))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases())
+def test_cross_entropy_gives_the_former_rules_bits(case):
+    # the leading axes make the batch; a float64 upstream g into float32
+    # logits is among the cases
+    dtype, g_dtype, shape, size, seed = case
+    rng = np.random.default_rng(seed)
+    b, c = math.prod(shape[:-1]), shape[-1]
+    logits = Tensor(size * rng.normal(size=(b, c)), requires_grad=True, dtype=dtype)
+    targets = rng.integers(0, c, size=b)
+    check_rule(lambda t: cross_entropy(t, targets), lambda t: cross_entropy_ref(t, targets),
+               (logits,), np.asarray(rng.normal(), dtype=g_dtype))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases(), st.lists(st.booleans(), min_size=4, max_size=4),
+       st.sampled_from([(True, True), (True, False), (False, True)]))
+def test_add_gives_the_former_rules_bits_and_none_for_a_constant(case, ones, live):
+    # b broadcasts against a: a suffix of a's shape, some axes set to 1
+    dtype, g_dtype, shape, size, seed = case
+    rng = np.random.default_rng(seed)
+    b_shape = tuple(1 if one else n for n, one in zip(shape[1:] or shape, ones))
+    a, b = (Tensor(size * rng.normal(size=s), requires_grad=r, dtype=dtype)
+            for s, r in zip((shape, b_shape), live))
+    out = add(a, b)
+    want, want_backward = add_ref(a, b)
+    assert_same_bits(out.data, want)
+    g = rng.normal(size=shape).astype(g_dtype)
+    for t, got, ref_grad in zip((a, b), out.node.backward_fn(g), want_backward(g)):
+        if t.requires_grad:
+            assert_same_bits(got, ref_grad)
+        else:
+            assert got is None
+
+
+def test_add_leaves_a_constant_operand_alone():
+    x = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+    bias = Tensor(np.array([0.0, -1e9, 0.0]))
+    sentinel = np.full(3, 7.0, dtype=np.float32)
+    bias.grad = sentinel
+    out = add(x, bias)
+    assert out.node.backward_fn(np.ones((2, 3), dtype=np.float32))[1] is None
+    backward(total(out))
+    assert bias.grad is sentinel
+    np.testing.assert_array_equal(sentinel, np.full(3, 7.0))
+    np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
+ACTIVATION = (8, 48, 64)
+
+
+@pytest.mark.parametrize("op, bound", [
+    (lambda x, rng: layer_norm(x, Tensor(rng.normal(size=ACTIVATION[-1:]), requires_grad=True),
+                               Tensor(rng.normal(size=ACTIVATION[-1:]), requires_grad=True)),
+     5.0),
+    (lambda x, rng: softmax(x, axis=-1), 2.5),
+], ids=["layer_norm", "softmax"])
+def test_a_rule_allocates_few_buffers_of_its_input(op, bound):
+    # tracemalloc sees numpy's buffers: the peak of one forward and one
+    # backward call, in multiples of the float32 activation's bytes
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.normal(size=ACTIVATION), requires_grad=True)
+    g = rng.normal(size=ACTIVATION).astype(np.float32)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        out = op(x, rng)
+        grads = out.node.backward_fn(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grads[0].shape == ACTIVATION
+    assert (peak - start) / x.data.nbytes <= bound

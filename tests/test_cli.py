@@ -26,7 +26,7 @@ from trihead.cli import _COMMAND_KEYS, build_parser, main
 from trihead.data import load_checkpoint, load_dataset, save_checkpoint
 from trihead.encoder import EncoderConfig
 from trihead.optim import clip_global_norm
-from trihead.textpipe import EmojiMap, build_vocab
+from trihead.textpipe import EmojiMap, balance, build_vocab
 from trihead.train import Checkpoint, init_model_params
 
 TRAIN_TSV = str(asset_path("synth_train.tsv"))
@@ -442,6 +442,17 @@ def test_dev_eval_overflow_exits_4_naming_the_last_step(tmp_path, capsys):
     assert "error: non-finite dev-eval activations at step 0" in err
 
 
+def test_train_eval_overflow_exits_4_naming_the_last_step(tmp_path, capsys):
+    # without --dev the report scores the training set, and that forward
+    # overflows on the finite weights one huge step leaves; a loaded
+    # checkpoint that overflows stays a data error (exit 3), tested below
+    code, out, err = run(capsys, "train", "--data", TRAIN_TSV, "--epochs", "1",
+                         "--batch-size", "100000", "--d-model", "16", "--max-len", "12",
+                         "--base-lr", "1e18", "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (4, "", "error: non-finite train-eval activations at step 0\n")
+    assert list((tmp_path / "run").iterdir()) == []  # a diverged run saves nothing
+
+
 # far below what these sizes ask for, and room enough for everything else
 ADDRESS_SPACE_CAP = 3 << 30
 
@@ -566,6 +577,24 @@ def test_warmup_as_long_as_the_run_is_refused_before_any_work(tmp_path, capsys):
                        "--out", str(tmp_path / "run"), "--steps", "5", "--warmup-steps", "5")
     assert (code, err) == (2, "error: warmup_steps (5) must be below total steps (5)\n")
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("balanced", [False, True])
+def test_train_warmup_as_long_as_the_run_is_refused_before_out_is_made(tmp_path, capsys,
+                                                                       balanced):
+    # 64 rows in batches of 8: 8 steps; --balance adds rows, and the check
+    # counts the rows the run would step over
+    rows = len(load_dataset(TRAIN_TSV))
+    if balanced:
+        rows = len(balance(load_dataset(TRAIN_TSV), seed=42))
+    steps = -(-rows // 8)
+    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--epochs", "1",
+                       "--warmup-steps", str(steps), "--out", str(tmp_path / "wr"),
+                       *(["--balance"] if balanced else []))
+    assert (code, err) == (2, f"error: warmup_steps ({steps}) must be below total steps "
+                              f"({steps})\n")
+    assert not (tmp_path / "wr").exists()
+    assert (rows, steps) == ((72, 9) if balanced else (64, 8))
 
 
 # ---------------------------------------------------------------------------

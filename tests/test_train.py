@@ -120,6 +120,8 @@ def test_warmup_as_long_as_the_run_is_refused_before_any_work(monkeypatch):
 
     monkeypatch.setattr(importlib.import_module("trihead.train"), "_encode", no_work)
     # 24 rows in batches of 8 over 2 epochs: 6 steps
+    assert cfg(epochs=2, batch_size=8).total_steps(24) == 6
+    assert cfg(epochs=2, batch_size=8).total_steps(25) == 8
     with pytest.raises(ConfigError, match=message):
         train(data, cfg(epochs=2, batch_size=8, warmup_steps=6), *toy_init(data))
 
