@@ -11,7 +11,7 @@ Layout:
 - ``textpipe``: normalization, vocabulary, subword tokenization, batching
 - ``encoder``: transformer encoder and masked-token pretraining
 - ``pooling``: attention pooling, mean pooling, task heads
-- ``optim``: AdamW, gradient clipping, the linear LR schedule
+- ``optim``: AdamW, gradient clipping, the linear LR schedule, the step loop ``run_steps``
 - ``train``: fine-tuning loop, prediction, evaluation
 - ``metrics``: micro F1, instance F1, report formatting
 - ``data``: TSV datasets, distribution tables, checkpoint files

@@ -260,22 +260,11 @@ def cmd_train(args) -> int:
 
     result = train(dataset, train_config, config, vocab, dev=dev,
                    emoji_map=emoji_map, pretrained=pretrained)
-
-    if dev is not None:
-        report = result.dev_history[result.best_epoch]
-    else:
-        try:
-            report = evaluate(result.checkpoint, dataset)
-        except CheckpointFormatError:
-            # the weights the last step left are finite, or run_steps would
-            # have said so, yet their forward pass overflows: the run diverged
-            raise DivergenceError(len(result.trace) - 1, "train-eval activations") from None
-
     if out:
         save_checkpoint(result.checkpoint, out / "model.ckpt")
         (out / "trace.csv").write_text(trace_to_csv(result.trace),
                                        encoding="utf-8")
-    _print_report(report, cfg.seed)
+    _print_report(result.report, cfg.seed)
     return 0
 
 

@@ -84,10 +84,14 @@ TraceRow = namedtuple("TraceRow", ("step", "lr", "loss", *(f"loss_{t}" for t in 
 
 @dataclass
 class TrainResult:
+    """A fine-tuning run: its checkpoint, per-step trace and per-epoch dev
+    reports, and the report it ends with: the best dev epoch's, or without
+    a dev split the final parameters' score on the training set."""
     checkpoint: Checkpoint
     trace: list
     dev_history: list
     best_epoch: int | None
+    report: MetricsReport
 
 
 def trace_to_csv(rows, header=TraceRow._fields) -> str:
@@ -169,7 +173,9 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
           dev=None, emoji_map: EmojiMap | None = None,
           pretrained: dict | None = None) -> TrainResult:
     """Run the fine-tuning loop; returns the checkpoint, the per-step trace,
-    and per-epoch dev reports when a dev split was given.
+    per-epoch dev reports when a dev split was given, and the run's report:
+    the best dev epoch's, or without a dev split one forward-only pass of
+    the final parameters over the training batch it already encoded.
 
     The encoder is built from encoder, dropout rate included, and starts
     fresh from the seed or from pretrained, an encoder table (MLM warm start).
@@ -209,15 +215,15 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
             raise ConfigError(f"pretrained encoder: parameter {name!r} has shape "
                               f"{tensor.shape}, expected {shapes[name]}")
         params[name] = Tensor(tensor.data.copy(), requires_grad=True, dtype=tensor.data.dtype)
+    # the classifier never reads the MLM output bias; it rides along,
+    # unchanged, for the checkpoint, so no prefix can freeze it
+    stepped = {k: t for k, t in params.items() if k != "encoder.mlm_bias"}
     for prefix in config.freeze:
-        frozen = [t for name, t in params.items() if name.startswith(prefix)]
+        frozen = [t for name, t in stepped.items() if name.startswith(prefix)]
         if not frozen:
             raise ConfigError(f"freeze prefix {prefix!r} matches no parameter of the model")
         for tensor in frozen:
             tensor.requires_grad = False
-    # the classifier never reads the MLM output bias; it rides along,
-    # unchanged, for the checkpoint
-    stepped = {k: t for k, t in params.items() if k != "encoder.mlm_bias"}
     if not any(t.requires_grad for t in stepped.values()):
         raise ConfigError(f"freeze {list(config.freeze)} leaves no parameter to train")
 
@@ -232,7 +238,15 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
 
     trace: list[TraceRow] = []
     dev_history: list[MetricsReport] = []
-    best: tuple[float, dict, int] | None = None
+
+    def score(batch, gold, what) -> MetricsReport:
+        try:
+            return _evaluate_params(params, encoder, config.pooler, batch, gold)
+        except NonFiniteError:
+            # the last update left weights whose forward pass overflows
+            raise DivergenceError(len(trace) - 1, f"{what} activations") from None
+
+    best_epoch, final_params = None, params
     for epoch in range(config.epochs):
         order = rng_order.permutation(n)
         picks = (order[start:start + config.batch_size]
@@ -240,32 +254,25 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
         trace += map(TraceRow._make, run_steps(opt, picks, task_losses, len(trace),
                                                total_steps, config))
         if dev is not None:
-            try:
-                report = _evaluate_params(params, encoder, config.pooler,
-                                          dev_encoded, dev_gold)
-            except NonFiniteError:
-                # the last update left weights whose forward pass overflows
-                raise DivergenceError(len(trace) - 1, "dev-eval activations") from None
-            dev_history.append(report)
-            if best is None or report.overall_micro_f1 > best[0]:
-                best = (report.overall_micro_f1, _copy_params(params), epoch)
+            dev_history.append(score(dev_encoded, dev_gold, "dev-eval"))
+            if best_epoch is None or (dev_history[-1].overall_micro_f1
+                                      > dev_history[best_epoch].overall_micro_f1):
+                best_epoch, final_params = epoch, _copy_params(params)
 
-    if best is not None:
-        final_params, best_epoch = best[1], best[2]
-    else:
-        final_params, best_epoch = params, None
+    report = (dev_history[best_epoch] if dev is not None
+              else score(encoded, [ex.labels for ex in dataset], "train-eval"))
     meta = {
         "seed": config.seed,
         "epochs": config.epochs,
         "steps": total_steps,
         "pooler": config.pooler,
         "best_epoch": best_epoch,
-        "final_dev_overall_micro_f1": best[0] if best is not None else None,
+        "final_dev_overall_micro_f1": None if dev is None else report.overall_micro_f1,
     }
     checkpoint = Checkpoint(kind="model", config=encoder, vocab=vocab, emoji_map=emoji_map,
                             pooler_kind=config.pooler, params=final_params, meta=meta)
-    return TrainResult(checkpoint=checkpoint, trace=trace,
-                       dev_history=dev_history, best_epoch=best_epoch)
+    return TrainResult(checkpoint=checkpoint, trace=trace, dev_history=dev_history,
+                       best_epoch=best_epoch, report=report)
 
 
 def _predict_encoded(params, config, pooler_kind, encoded: EncodedBatch) -> list:

@@ -361,8 +361,10 @@ def test_negative_seed_is_a_config_error_naming_it(tmp_path, capsys, argv, file_
     ({"freeze": ["nope."]}, "freeze prefix 'nope.' matches no parameter of the model"),
     ({"freeze": ["pooler."], "pooler": "mean"},
      "freeze prefix 'pooler.' matches no parameter of the model"),
+    ({"freeze": ["encoder.mlm_bias"]},
+     "freeze prefix 'encoder.mlm_bias' matches no parameter of the model"),
     ({"freeze": [""]}, "freeze [''] leaves no parameter to train"),
-], ids=["unmatched", "mean-pooler", "everything"])
+], ids=["unmatched", "mean-pooler", "mlm-bias", "everything"])
 def test_freeze_that_matches_nothing_or_everything_is_a_config_error(
         tmp_path, capsys, monkeypatch, file_values, message):
     def must_not_step(*args):
@@ -612,6 +614,29 @@ def test_train_writes_checkpoint_and_trace(tmp_path, capsys):
     trace = (out / "trace.csv").read_text().strip().split("\n")
     assert trace[0] == "step,lr,loss,loss_aggression,loss_gender,loss_communal"
     assert len(trace) == 1 + 8  # 64 examples / batch 8, one epoch
+
+
+def test_train_without_dev_encodes_the_training_set_once(capsys, monkeypatch):
+    module = importlib.import_module("trihead.train")
+    real_encode, calls = module._encode, []
+
+    def counted(texts, *args):
+        calls.append(len(texts))
+        return real_encode(texts, *args)
+
+    monkeypatch.setattr(module, "_encode", counted)
+    assert run(capsys, "train", "--data", TRAIN_TSV, *FAST)[0] == 0
+    assert calls == [64]  # the report scores the batch the run trained on
+
+
+def test_train_without_dev_prints_what_eval_of_its_model_prints(tmp_path, capsys):
+    out = tmp_path / "run"
+    code, trained, _ = run(capsys, "train", "--data", TRAIN_TSV, "--out", str(out), *FAST)
+    assert code == 0
+    code, evaluated, _ = run(capsys, "eval", "--model", str(out / "model.ckpt"),
+                             "--data", TRAIN_TSV)
+    assert code == 0
+    assert trained == evaluated
 
 
 def test_identical_invocations_write_identical_checkpoints(tmp_path, capsys):

@@ -39,3 +39,42 @@ def test_imports_are_exactly_the_declared_dependencies_and_exclude_scipy():
     with open(ROOT / "pyproject.toml", "rb") as f:
         declared = tomllib.load(f)["project"]["dependencies"]
     assert third_party_imports() == {re.match(r"[A-Za-z0-9_.-]+", d).group() for d in declared}
+
+
+def unused_imports(source: str) -> list:
+    """The names a module imports and never reads: not as a name, not in a
+    string annotation, not in __all__."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    annotations = [node.annotation for node in ast.walk(tree)
+                   if isinstance(node, (ast.arg, ast.AnnAssign)) and node.annotation]
+    annotations += [node.returns for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.returns]
+    for annotation in annotations:
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.update(n.id for n in ast.walk(ast.parse(node.value, mode="eval"))
+                            if isinstance(n, ast.Name))
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
+
+
+def test_unused_imports_are_found():
+    source = ('from __future__ import annotations\nimport os, numpy as np\n'
+              'from .a import B, C, D, E\n__all__ = ["D"]\n'
+              'def f(x: "C | None") -> np.ndarray: return B\n')
+    assert unused_imports(source) == ["line 2: os", "line 3: E"]
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "trihead").glob("*.py")), ids=lambda p: p.name)
+def test_every_imported_name_is_used(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

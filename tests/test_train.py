@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from trihead.autograd import Tensor
-from trihead.data import Example, load_checkpoint, save_checkpoint
+from trihead.assets import asset_path
+from trihead.data import Example, load_checkpoint, load_dataset, save_checkpoint
 from trihead.encoder import EncoderConfig, PretrainSchedule, pretrain_mlm
 from trihead.errors import (
     CheckpointFormatError,
@@ -356,6 +357,34 @@ def test_dev_split_tracks_best_epoch():
     assert result.checkpoint.meta["best_epoch"] == result.best_epoch
 
 
+def test_report_without_dev_scores_the_training_set_as_evaluate_does():
+    data = toy_dataset(24, seed=1)
+    result = train(data, cfg(epochs=3, batch_size=8, base_lr=2e-3, seed=5), *toy_init(data))
+    assert (result.dev_history, result.best_epoch) == ([], None)
+    assert result.report.to_json() == evaluate(result.checkpoint, data).to_json()
+    assert result.checkpoint.meta["final_dev_overall_micro_f1"] is None
+
+
+def test_report_with_dev_is_the_best_epochs_dev_report():
+    data = toy_dataset(24, seed=1)
+    result = train(data, cfg(epochs=3, batch_size=8, base_lr=2e-3, seed=5),
+                   *toy_init(data), dev=toy_dataset(12, seed=2))
+    assert result.report is result.dev_history[result.best_epoch]
+    assert result.checkpoint.meta["final_dev_overall_micro_f1"] == \
+        result.report.overall_micro_f1
+
+
+def test_a_training_set_forward_that_overflows_diverges_at_the_last_step():
+    # one huge step leaves finite weights whose forward pass over the
+    # training set overflows: the CLI recipe of the same name, in the library
+    data = load_dataset(asset_path("synth_train.tsv"))
+    vocab = build_vocab([normalize(ex.text) for ex in data], target_size=200)
+    config = EncoderConfig(vocab_size=vocab.size, d_model=16, max_len=12)
+    with np.errstate(all="ignore"), pytest.raises(DivergenceError) as err:
+        train(data, cfg(epochs=1, batch_size=100000, base_lr=1e18), config, vocab)
+    assert (err.value.step, str(err.value)) == (0, "non-finite train-eval activations at step 0")
+
+
 def test_empty_dataset_rejected():
     data = toy_dataset(8)
     with pytest.raises(DataError, match="empty"):
@@ -428,10 +457,13 @@ def test_a_warm_start_returns_the_encoders_mlm_bias_unchanged():
 @pytest.mark.parametrize("freeze, pooler, message", [
     (("nope.",), "attention", "freeze prefix 'nope.' matches no parameter of the model"),
     (("pooler.",), "mean", "freeze prefix 'pooler.' matches no parameter of the model"),
+    # fine-tuning never steps the MLM output bias, so there is nothing to freeze
+    (("encoder.mlm_bias",), "attention",
+     "freeze prefix 'encoder.mlm_bias' matches no parameter of the model"),
     (("",), "attention", r"freeze \[''\] leaves no parameter to train"),
     (("encoder.tok", "encoder.pos", "encoder.layer", "encoder.ln_f", "pooler.", "heads."),
      "attention", "leaves no parameter to train"),
-], ids=["unmatched", "no-pooler", "empty-prefix", "all-but-mlm-bias"])
+], ids=["unmatched", "no-pooler", "mlm-bias", "empty-prefix", "all-but-mlm-bias"])
 def test_freeze_must_match_a_parameter_and_leave_one_to_train(freeze, pooler, message):
     data = toy_dataset(8)
     with pytest.raises(ConfigError, match=message):
