@@ -33,6 +33,7 @@ _ERF_Q = tuple(np.float32(c) for c in (
     -7.37332916720468e-03, -1.42647390514189e-02))
 _MATH_ERF = np.frompyfunc(math.erf, 1, 1)
 _LN_EPS = 1e-5  # added to layer_norm's variance
+_GRAD_CHECK_FLOOR = 1e-6  # grad_check's least relative-error denominator
 
 
 class Node:
@@ -463,14 +464,13 @@ class GradCheckReport:
         return f"grad check {status}: max relative error {self.max_rel_error:.3e} (tol {self.tol:.1e})"
 
 
-def grad_check(f, x: Tensor, eps: float = 1e-4, tol: float = 1e-3,
-               floor: float = 1e-6) -> GradCheckReport:
+def grad_check(f, x: Tensor, eps: float = 1e-4, tol: float = 1e-3) -> GradCheckReport:
     """Compare backward() against central finite differences, coordinate by
     coordinate: (f(x + eps e_i) - f(x - eps e_i)) / (2 eps).
 
     f must be scalar-valued and deterministic (run dropout in eval mode);
     this is checked by evaluating twice. Relative error per coordinate is
-    |a - n| / max(|a| + |n|, floor); the floor keeps pure-roundoff noise on
+    |a - n| / max(|a| + |n|, 1e-6); the floor keeps pure-roundoff noise on
     near-zero gradients from registering as failure.
     """
     if eps <= 0:
@@ -498,7 +498,7 @@ def grad_check(f, x: Tensor, eps: float = 1e-4, tol: float = 1e-3,
         flat[i] = (f_plus - f_minus) / (2.0 * eps)
 
     diff = np.abs(analytic - numeric)
-    denom = np.maximum(np.abs(analytic) + np.abs(numeric), floor)
+    denom = np.maximum(np.abs(analytic) + np.abs(numeric), _GRAD_CHECK_FLOOR)
     rel = diff / denom
     worst = int(np.argmax(rel)) if rel.size else 0
     max_rel = float(rel.reshape(-1)[worst]) if rel.size else 0.0

@@ -150,8 +150,17 @@ def _given_values(args) -> dict:
             raw = read_utf8(args.config)
         except OSError as e:
             raise DataError(f"cannot read config file: {e}") from None
+
+        def unique_keys(pairs):
+            values = {}
+            for key, value in pairs:
+                if key in values:
+                    raise ConfigError(f"{args.config}: duplicate config key {key!r}")
+                values[key] = value
+            return values
+
         try:
-            file_values = json.loads(raw)
+            file_values = json.loads(raw, object_pairs_hook=unique_keys)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{args.config}: not valid JSON: {e}") from None
         if not isinstance(file_values, dict):
@@ -245,6 +254,8 @@ def cmd_train(args) -> int:
         vocab, emoji_map, pretrained = warm.vocab, warm.emoji_map, warm.params
     else:
         texts = [normalize(ex.text, emoji_map=emoji_map) for ex in dataset]
+        if texts and not any(texts):
+            raise DataError(f"{cfg.data}: no usable words; every text normalizes to nothing")
         vocab = build_vocab(texts, target_size=cfg.vocab_target_size)
         config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
 

@@ -54,9 +54,6 @@ class TriLabel(namedtuple("TriLabel", TASKS)):
     def _make(cls, iterable):  # so _replace hands back a prebuilt triple too
         return cls(*iterable)
 
-    def get(self, task: str) -> str:
-        return getattr(self, task)
-
 
 # every valid triple, in the order of the heads' flattened class indices
 TRIPLES = tuple(tuple.__new__(TriLabel, labels) for labels in product(*TASK_LABELS.values()))
@@ -78,12 +75,6 @@ class MetricsReport:
     overall_micro_f1: float
     instance_f1: float
     n_instances: int
-
-    def task_score(self, task: str) -> TaskScore:
-        for ts in self.tasks:
-            if ts.task == task:
-                return ts
-        raise KeyError(task)
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

@@ -180,13 +180,6 @@ class Vocab:
     def tokens(self) -> tuple:
         return self._tokens
 
-    def __contains__(self, token: str) -> bool:
-        return token in self._ids
-
-    def id_of(self, token: str) -> int:
-        """Id for the token, falling back to [UNK]."""
-        return self._ids.get(token, UNK_ID)
-
     def token_of(self, idx: int) -> str:
         if not 0 <= idx < len(self._tokens):
             raise IndexError(f"token id {idx} out of range [0, {len(self._tokens)})")

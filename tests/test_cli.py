@@ -101,6 +101,14 @@ def test_invalid_config_json_is_a_config_error(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("text", ['{"epochs": 0, "epochs": 1}', '{"epochs": 1, "epochs": 0}'])
+def test_a_config_key_given_twice_is_a_config_error_naming_it(tmp_path, capsys, text):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "train", "--data", TRAIN_TSV, *FAST, "--config", str(cfg))
+    assert (code, out, err) == (2, "", f"error: {cfg}: duplicate config key 'epochs'\n")
+
+
 WRONG_TYPED = {"epochs": "5", "freeze": 5, "seed": "x",
                "max_len": None, "base_lr": "1e-3", "dropout_p": [0.1]}
 
@@ -164,6 +172,15 @@ def test_eval_on_empty_dataset_is_a_data_error(tmp_path, capsys):
                        "--data", str(empty))
     assert code == 3
     assert "empty" in err
+
+
+def test_a_training_set_with_no_words_is_a_data_error_naming_it(tmp_path, capsys):
+    data = tmp_path / "no_words.tsv"
+    data.write_text(HEADER + "\na\t!!! ...\tNAG\tNGEN\tNCOM\nb\thttp://x.y ???\tCAG\tGEN\tCOM\n")
+    code, out, err = run(capsys, "train", "--data", str(data), "--out", str(tmp_path / "run"))
+    assert (code, out) == (3, "")
+    assert err == f"error: {data}: no usable words; every text normalizes to nothing\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_empty_dev_split_is_a_data_error_naming_it(tmp_path, capsys):

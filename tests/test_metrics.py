@@ -136,7 +136,7 @@ def test_instance_f1_bounded_by_per_task_accuracy():
         ]
         inst = instance_f1(gold, pred)
         per_task = [
-            micro_prf([t.get(k) for t in gold], [t.get(k) for t in pred], k)[2]
+            micro_prf([getattr(t, k) for t in gold], [getattr(t, k) for t in pred], k)[2]
             for k in TASK_LABELS
         ]
         assert 0.0 <= inst <= min(per_task) + 1e-12
@@ -175,9 +175,9 @@ def test_report_json_fields_and_stability():
 
 def test_report_support_counts_gold_sides():
     gold = [triple("NAG"), triple("NAG"), triple("OAG")]
-    report = score_triples(gold, gold)
-    assert report.task_score("aggression").support == {"NAG": 2, "CAG": 0, "OAG": 1}
-    assert report.task_score("gender").support == {"NGEN": 3, "GEN": 0}
+    scores = {ts.task: ts for ts in score_triples(gold, gold).tasks}
+    assert scores["aggression"].support == {"NAG": 2, "CAG": 0, "OAG": 1}
+    assert scores["gender"].support == {"NGEN": 3, "GEN": 0}
 
 
 def test_report_table_renders_three_decimals():
@@ -215,7 +215,7 @@ def test_trilabel_hands_back_the_prebuilt_triple():
         assert TriLabel(**dict(zip(TASKS, labels))) is TRIPLES[i]
         assert TRIPLES[i]._replace(aggression="OAG") is TriLabel("OAG", *labels[1:])
     assert repr(TRIPLES[0]) == "TriLabel(aggression='NAG', gender='NGEN', communal='NCOM')"
-    assert tuple(TRIPLES[-1]) == tuple(TRIPLES[-1].get(t) for t in TASKS)
+    assert tuple(TRIPLES[-1]) == tuple(getattr(TRIPLES[-1], t) for t in TASKS)
 
 
 @pytest.mark.parametrize("labels, message", [
@@ -245,7 +245,9 @@ def test_score_triples_matches_oracle(n, seed):
     gold = [mk() for _ in range(n)]
     pred = [mk() for _ in range(n)]
     report = score_triples(gold, pred)
+    scores = {ts.task: ts for ts in report.tasks}
     for task in TASK_LABELS:
-        want = float(oracle_accuracy([t.get(task) for t in gold], [t.get(task) for t in pred]))
-        assert report.task_score(task).f1 == want
+        want = float(oracle_accuracy([getattr(t, task) for t in gold],
+                                     [getattr(t, task) for t in pred]))
+        assert scores[task].f1 == want
     assert report.instance_f1 == float(oracle_accuracy(gold, pred))

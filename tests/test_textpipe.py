@@ -185,7 +185,7 @@ def test_emoji_map_takes_emoticon_keys_and_normalize_stays_idempotent():
 def test_build_vocab_small_corpus_contains_expected():
     v = build_vocab(["a a b"], target_size=6)
     for tok in [*RESERVED, "a", "b"]:
-        assert tok in v
+        assert tok in v.tokens
 
 
 def test_build_vocab_reserved_ids_fixed():
@@ -222,7 +222,7 @@ def test_build_vocab_target_too_small():
 def test_vocab_roundtrip_identity():
     v = build_vocab(["kichu kotha bolo"], 50)
     for i in range(v.size):
-        assert v.id_of(v.token_of(i)) == i
+        assert v.tokens.index(v.token_of(i)) == i
 
 
 def test_vocab_rejects_bad_reserved_prefix():
@@ -267,7 +267,7 @@ def test_encode_empty_text():
 def test_encode_direct_lookup():
     v = build_vocab(["a a b"], 6)
     ids, mask = encode_one("a b", v, max_len=5)
-    assert ids.tolist() == [CLS_ID, v.id_of("a"), v.id_of("b"), PAD_ID, PAD_ID]
+    assert ids.tolist() == [CLS_ID, *map(v.tokens.index, "ab"), PAD_ID, PAD_ID]
     assert mask.tolist() == [1, 1, 1, 0, 0]
 
 
@@ -275,7 +275,7 @@ def test_encode_truncates_to_max_len():
     v = build_vocab(["a a b"], 6)
     ids, mask = encode_one("a b a b a b a b", v, max_len=4)
     assert len(ids) == 4 and len(mask) == 4
-    assert ids.tolist() == [CLS_ID, v.id_of("a"), v.id_of("b"), v.id_of("a")]
+    assert ids.tolist() == [CLS_ID, *map(v.tokens.index, "aba")]
     assert mask.tolist() == [1, 1, 1, 1]
 
 

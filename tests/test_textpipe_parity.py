@@ -16,6 +16,7 @@ from trihead.textpipe import (
     PAD_ID,
     RESERVED,
     UNK,
+    UNK_ID,
     _EMOJI_RE,
     _URL_RE,
     EmojiMap,
@@ -56,21 +57,24 @@ def reference_build_vocab(corpus, target_size):
     return Vocab(tokens)
 
 
-def reference_tokenize(text, vocab):
+def reference_tokenize(text, token_ids):
     pieces = []
     for word in text.split():
-        if word in vocab:
+        if word in token_ids:
             pieces.append(word)
             continue
         for i, ch in enumerate(word):
             piece = ch if i == 0 else CONT + ch
-            pieces.append(piece if piece in vocab else UNK)
+            pieces.append(piece if piece in token_ids else UNK)
     return pieces
 
 
 def reference_batch_encode(texts, vocab, max_len):
-    rows = [[CLS_ID, *(vocab.id_of(p) for p in reference_tokenize(t, vocab))][:max_len]
-            for t in texts]
+    token_ids = {token: i for i, token in enumerate(vocab.tokens)}
+    rows = []
+    for text in texts:
+        pieces = reference_tokenize(text, token_ids)
+        rows.append([CLS_ID, *(token_ids.get(p, UNK_ID) for p in pieces)][:max_len])
     ids = np.full((len(rows), max_len), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(rows), max_len), dtype=np.int64)
     for r, row in enumerate(rows):

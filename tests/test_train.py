@@ -569,7 +569,7 @@ def assert_labels_match_rows_alone(ck, texts, labels):
         logits = forward_logits(ck.params, ck.config, ck.pooler_kind, alone)
         for task in TASKS:
             row = logits[task].data[0]
-            picked = row[TASK_LABELS[task].index(label.get(task))]
+            picked = row[TASK_LABELS[task].index(getattr(label, task))]
             assert picked >= row.max() - 1e-4, (text, task)
 
 
