@@ -146,11 +146,6 @@ def _given_values(args) -> dict:
     table = _COMMAND_KEYS[args.command]
     merged: dict = {}
     if args.config is not None:
-        try:
-            raw = read_utf8(args.config)
-        except OSError as e:
-            raise DataError(f"cannot read config file: {e}") from None
-
         def unique_keys(pairs):
             values = {}
             for key, value in pairs:
@@ -160,7 +155,7 @@ def _given_values(args) -> dict:
             return values
 
         try:
-            file_values = json.loads(raw, object_pairs_hook=unique_keys)
+            file_values = json.loads(read_utf8(args.config), object_pairs_hook=unique_keys)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{args.config}: not valid JSON: {e}") from None
         if not isinstance(file_values, dict):
@@ -202,6 +197,25 @@ def _load_emoji_map(cfg: SimpleNamespace):
     return EmojiMap.from_tsv(cfg.emoji_map) if cfg.emoji_map else None
 
 
+def _load_rows(cfg: SimpleNamespace, key: str, command: str) -> list:
+    """The rows of the labeled file key names; a file with none is a
+    DataError naming its flag and file."""
+    dataset = load_dataset(_require(cfg, key, command))
+    if not dataset:
+        raise DataError(f"{_flag(command, key)} {getattr(cfg, key)} holds no rows")
+    return dataset
+
+
+def _fresh_encoder(texts, cfg: SimpleNamespace, emoji_map, nothing: str) -> tuple:
+    """The texts that hold a word once normalized, their vocabulary and the
+    run's EncoderConfig; when none does, a DataError "<cfg.data>: <nothing>"."""
+    texts = [text for text in (normalize(raw, emoji_map=emoji_map) for raw in texts) if text]
+    if not texts:
+        raise DataError(f"{cfg.data}: {nothing}")
+    vocab = build_vocab(texts, target_size=cfg.vocab_target_size)
+    return texts, vocab, _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 
@@ -232,8 +246,8 @@ def _make_out(out: Path) -> None:
 def cmd_train(args) -> int:
     given = _given_values(args)
     cfg = _load_run_config(args, given)
-    dataset = load_dataset(_require(cfg, "data", args.command))
-    dev = load_dataset(cfg.dev) if cfg.dev else None
+    dataset = _load_rows(cfg, "data", args.command)
+    dev = _load_rows(cfg, "dev", args.command) if cfg.dev else None
     emoji_map = _load_emoji_map(cfg)
 
     pretrained = None
@@ -253,18 +267,14 @@ def cmd_train(args) -> int:
         config = dataclasses.replace(warm.config, dropout_p=cfg.dropout_p)
         vocab, emoji_map, pretrained = warm.vocab, warm.emoji_map, warm.params
     else:
-        texts = [normalize(ex.text, emoji_map=emoji_map) for ex in dataset]
-        if texts and not any(texts):
-            raise DataError(f"{cfg.data}: no usable words; every text normalizes to nothing")
-        vocab = build_vocab(texts, target_size=cfg.vocab_target_size)
-        config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
+        _, vocab, config = _fresh_encoder([ex.text for ex in dataset], cfg, emoji_map,
+                                          "no usable words; every text normalizes to nothing")
 
     # built before balance, which would fail on a seed TrainConfig rejects
     train_config = _library_config(TrainConfig, cfg)
     if cfg.balance:
         dataset = balance(dataset, seed=cfg.seed)
-    if dataset:  # an empty one is train()'s to refuse
-        check_warmup(train_config.warmup_steps, train_config.total_steps(len(dataset)))
+    check_warmup(train_config.warmup_steps, train_config.total_steps(len(dataset)))
     out = Path(cfg.out) if cfg.out else None
     if out:
         _make_out(out)
@@ -282,8 +292,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = _load_run_config(args)
     checkpoint = load_checkpoint(args.model)
-    dataset = load_dataset(_require(cfg, "data", args.command))
-    _print_report(evaluate(checkpoint, dataset), cfg.seed)
+    _print_report(evaluate(checkpoint, _load_rows(cfg, "data", args.command)), cfg.seed)
     return 0
 
 
@@ -343,19 +352,10 @@ def cmd_pretrain(args) -> int:
     corpus_path = _require(cfg, "data", args.command)
     out = Path(_require(cfg, "out", args.command))
     schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
-    try:
-        raw = read_utf8(corpus_path)
-    except OSError as e:
-        raise DataError(f"cannot read corpus: {e}") from None
+    raw = read_utf8(corpus_path)
     emoji_map = _load_emoji_map(cfg)
-    sentences = [normalize(line, emoji_map=emoji_map)
-                 for line in raw.split("\n") if line.strip()]
-    sentences = [s for s in sentences if s]
-    if not sentences:
-        raise DataError(f"{corpus_path}: no usable sentences")
-
-    vocab = build_vocab(sentences, target_size=cfg.vocab_target_size)
-    config = _library_config(EncoderConfig, cfg, vocab_size=vocab.size)
+    sentences, vocab, config = _fresh_encoder(raw.split("\n"), cfg, emoji_map,
+                                              "no usable sentences")
     _make_out(out)
     params, losses = pretrain_mlm(sentences, vocab, config, schedule)
 

@@ -96,9 +96,29 @@ def test_unknown_config_key_is_a_config_error(tmp_path, capsys):
 
 def test_invalid_config_json_is_a_config_error(tmp_path, capsys):
     cfg = tmp_path / "c.json"
-    cfg.write_text("{nope")
-    code, _, _ = run(capsys, "train", "--data", TRAIN_TSV, "--config", str(cfg))
-    assert code == 2
+    for text, message in (
+            ("{nope", "not valid JSON: Expecting property name enclosed in double quotes"),
+            ('["epochs", 1]', "config must be a JSON object\n"),  # valid JSON, not an object
+            ("1", "config must be a JSON object\n")):
+        cfg.write_text(text)
+        code, out, err = run(capsys, "train", "--data", TRAIN_TSV, "--config", str(cfg))
+        assert (code, out) == (2, ""), text
+        assert err.startswith(f"error: {cfg}: {message}"), text
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--config", ["stats", "--data", TRAIN_TSV]),
+    ("--corpus", ["pretrain", "--out", "run"]),
+    ("--data", ["stats"]),
+], ids=["config", "corpus", "data"])
+def test_a_missing_input_exits_3_with_the_os_message_naming_it(tmp_path, capsys,
+                                                               monkeypatch, flag, argv):
+    monkeypatch.chdir(tmp_path)
+    missing = tmp_path / "missing"
+    code, out, err = run(capsys, *argv, flag, str(missing))
+    assert (code, out) == (3, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("text", ['{"epochs": 0, "epochs": 1}', '{"epochs": 1, "epochs": 0}'])
@@ -168,10 +188,9 @@ def test_eval_on_empty_dataset_is_a_data_error(tmp_path, capsys):
                *FAST)[0] == 0
     empty = tmp_path / "empty.tsv"
     empty.write_text(HEADER + "\n")
-    code, _, err = run(capsys, "eval", "--model", str(out / "model.ckpt"),
-                       "--data", str(empty))
-    assert code == 3
-    assert "empty" in err
+    code, out, err = run(capsys, "eval", "--model", str(out / "model.ckpt"),
+                         "--data", str(empty))
+    assert (code, out, err) == (3, "", f"error: --data {empty} holds no rows\n")
 
 
 def test_a_training_set_with_no_words_is_a_data_error_naming_it(tmp_path, capsys):
@@ -186,9 +205,62 @@ def test_a_training_set_with_no_words_is_a_data_error_naming_it(tmp_path, capsys
 def test_empty_dev_split_is_a_data_error_naming_it(tmp_path, capsys):
     empty = tmp_path / "dev.tsv"
     empty.write_text(HEADER + "\n")
-    code, _, err = run(capsys, "train", "--data", TRAIN_TSV, "--dev", str(empty), *FAST)
-    assert code == 3
-    assert err == "error: train: empty dev split\n"
+    code, out, err = run(capsys, "train", "--data", TRAIN_TSV, "--dev", str(empty), *FAST,
+                         "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (3, "", f"error: --dev {empty} holds no rows\n")
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("warm", [False, True], ids=["fresh", "warm-start"])
+def test_an_empty_training_set_is_a_data_error_naming_it(tmp_path, capsys, warm):
+    pre = tmp_path / "pre"
+    encoder = []
+    if warm:
+        assert run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--out", str(pre),
+                   "--steps", "1", "--d-model", "16", "--n-heads", "2", "--d-ff", "32",
+                   "--max-len", "12")[0] == 0
+        encoder = ["--encoder", str(pre / "encoder.ckpt")]
+    empty = tmp_path / "train.tsv"
+    empty.write_text(HEADER + "\n")
+    code, out, err = run(capsys, "train", "--data", str(empty), *encoder,
+                         "--out", str(tmp_path / "run"))
+    assert (code, out, err) == (3, "", f"error: --data {empty} holds no rows\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_empty_file_is_valid_where_nothing_is_learned_or_scored(tmp_path, capsys):
+    out = tmp_path / "run"
+    assert run(capsys, "train", "--data", TRAIN_TSV, "--out", str(out), *FAST)[0] == 0
+    empty = tmp_path / "empty.tsv"
+    empty.write_text(HEADER + "\n")
+    code, stats, err = run(capsys, "stats", "--data", str(empty))
+    assert (code, err) == (0, "")
+    assert '"total":0' in stats
+    pred = tmp_path / "pred.tsv"
+    code, out, err = run(capsys, "predict", "--model", str(out / "model.ckpt"),
+                         "--input", str(empty), "--output", str(pred))
+    assert (code, err) == (0, "")
+    assert out.endswith(f"wrote 0 predictions to {pred}\n")
+    assert pred.read_text().splitlines() == [HEADER]
+
+
+@pytest.mark.parametrize("corpus", ["", "\n\n", "!!! ...\n  \nhttp://x.y ???\n"],
+                         ids=["empty", "blank-lines", "no-words"])
+def test_a_corpus_with_no_usable_sentence_is_a_data_error_naming_it(tmp_path, capsys,
+                                                                     corpus):
+    path = tmp_path / "corpus.txt"
+    path.write_text(corpus)
+    code, out, err = run(capsys, "pretrain", "--corpus", str(path),
+                         "--out", str(tmp_path / "pre"))
+    assert (code, out, err) == (3, "", f"error: {path}: no usable sentences\n")
+    assert not (tmp_path / "pre").exists()
+
+
+def test_pretrain_with_zero_steps_is_a_config_error(tmp_path, capsys):
+    code, out, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "0",
+                         "--out", str(tmp_path / "pre"))
+    assert (code, out, err) == (2, "", "error: steps must be >= 1, got 0\n")
+    assert not (tmp_path / "pre").exists()
 
 
 def test_pretrain_without_out_stops_before_training(capsys, monkeypatch):

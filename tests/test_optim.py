@@ -1,14 +1,15 @@
 """Optimizer and gradient clipping."""
 
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from trihead.autograd import Tensor
-from trihead.errors import ConfigError, NonFiniteError
+from trihead.errors import ConfigError, DivergenceError, NonFiniteError
 from trihead.optim import (BETA1, BETA2, EPS, MAX_GRAD_NORM, WEIGHT_DECAY, AdamW,
-                          clip_global_norm)
+                          clip_global_norm, run_steps)
 
 
 def clip(values, offsets):
@@ -219,6 +220,24 @@ def test_a_non_finite_gradient_norm_moves_nothing():
         opt.step(lr=0.1)
     assert opt.t == 1
     assert [opt._data.tobytes(), opt._m.tobytes(), opt._v.tobytes()] == before
+
+
+def test_a_non_finite_loss_stops_the_loop_before_backward():
+    params = {"w": Tensor(np.ones(3, dtype=np.float32), requires_grad=True)}
+    opt = AdamW(params)
+    before = opt._data.tobytes()
+
+    def loss_terms(batch):
+        # a finite term and an inf one, built directly, so no overflow
+        # warning fires; their sum is what the loop checks
+        return [Tensor(np.float32(1.0)), Tensor(np.float32(np.inf))]
+
+    schedule = SimpleNamespace(base_lr=0.1, warmup_steps=0)
+    with pytest.raises(DivergenceError, match="^non-finite loss at step 3$") as info:
+        run_steps(opt, ["batch"], loss_terms, first=3, total_steps=4, schedule=schedule)
+    assert info.value.step == 3
+    assert opt.t == 0 and params["w"].grad is None
+    assert opt._data.tobytes() == before
 
 
 def test_a_step_allocates_nothing_of_the_tables_size():

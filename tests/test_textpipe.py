@@ -20,6 +20,7 @@ from trihead.textpipe import (
     UNK,
     UNK_ID,
     EmojiMap,
+    EncodedBatch,
     Vocab,
     balance,
     batch_encode,
@@ -317,6 +318,20 @@ def test_cut_takes_rows_up_to_their_longest_real_one():
     assert np.array_equal(cut.token_ids, batch.token_ids[rows, :4])
     assert np.array_equal(cut.attention_mask, batch.attention_mask[rows, :4])
     assert batch.cut(np.arange(3)).token_ids.shape == (3, 5)
+
+
+@pytest.mark.parametrize("ids, mask, message", [
+    ([[CLS_ID, 5, 6]], [[1, 1]], "batch ids (1, 3) and mask (1, 2) must be equal 2-D shapes"),
+    ([CLS_ID, 5], [1, 1], "batch ids (2,) and mask (2,) must be equal 2-D shapes"),
+    ([[CLS_ID, 5], [5, CLS_ID]], [[1, 1], [1, 1]],
+     "every batch row must start with an unmasked [CLS]"),
+    ([[CLS_ID, 5], [CLS_ID, 6]], [[1, 1], [0, 0]],
+     "every batch row must start with an unmasked [CLS]"),
+    ([[CLS_ID, 5, 6, PAD_ID]], [[1, 0, 1, 0]], "attention mask must be contiguous from the left"),
+], ids=["unequal-shapes", "one-dimensional", "no-leading-cls", "masked-cls", "mask-turns-back-on"])
+def test_encoded_batch_refuses_a_malformed_layout(ids, mask, message):
+    with pytest.raises(DataError, match=re.escape(message)):
+        EncodedBatch(token_ids=np.array(ids), attention_mask=np.array(mask))
 
 
 def test_in_corpus_text_never_needs_unk():

@@ -387,8 +387,11 @@ def test_a_training_set_forward_that_overflows_diverges_at_the_last_step():
 
 def test_empty_dataset_rejected():
     data = toy_dataset(8)
-    with pytest.raises(DataError, match="empty"):
+    with pytest.raises(DataError, match="^train: empty dataset$"):
         train([], cfg(), *toy_init(data))
+    # the CLI refuses an empty --dev file itself, so only this reaches the check
+    with pytest.raises(DataError, match="^train: empty dev split$"):
+        train(data, cfg(), *toy_init(data), dev=[])
 
 
 def test_pretrained_encoder_params_are_used():
