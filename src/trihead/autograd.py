@@ -98,9 +98,14 @@ class Tensor:
 def _from_op(data, inputs, backward_fn):
     out = Tensor.__new__(Tensor)
     out.data = data
-    out.requires_grad = any(t.requires_grad for t in inputs)
     out.grad = None
-    out.node = Node(inputs, backward_fn) if out.requires_grad else None
+    for t in inputs:
+        if t.requires_grad:
+            out.requires_grad = True
+            out.node = Node(inputs, backward_fn)
+            return out
+    out.requires_grad = False
+    out.node = None
     return out
 
 
@@ -108,10 +113,10 @@ def _unbroadcast(grad, shape):
     """Sum a gradient over the axes numpy broadcasting expanded."""
     extra = grad.ndim - len(shape)
     if extra > 0:
-        grad = grad.sum(axis=tuple(range(extra)))
+        grad = np.add.reduce(grad, axis=tuple(range(extra)))
     axes = tuple(i for i, n in enumerate(shape) if n == 1 and grad.shape[i] != 1)
     if axes:
-        grad = grad.sum(axis=axes, keepdims=True)
+        grad = np.add.reduce(grad, axis=axes, keepdims=True)
     return grad.reshape(shape)
 
 
@@ -124,15 +129,15 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def backward(g):
         # a constant operand, such as the key-mask bias, takes no gradient
-        return (_unbroadcast(g, a.shape) if a.requires_grad else None,
-                _unbroadcast(g, b.shape) if b.requires_grad else None)
+        return (_unbroadcast(g, a.data.shape) if a.requires_grad else None,
+                _unbroadcast(g, b.data.shape) if b.requires_grad else None)
 
     return _from_op(data, (a, b), backward)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    data = a.data * np.asarray(c, dtype=a.dtype)
+    data = a.data * np.asarray(c, dtype=a.data.dtype)
 
     def backward(g):
         return (g * c,)
@@ -142,15 +147,16 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix product over the last two axes; leading axes broadcast."""
-    if a.ndim < 2 or b.ndim < 2:
-        raise ValueError(f"matmul needs 2-D or higher operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
-        raise ValueError(f"matmul: inner dimensions disagree, {a.shape} x {b.shape}")
+    sa, sb = a.data.shape, b.data.shape
+    if len(sa) < 2 or len(sb) < 2:
+        raise ValueError(f"matmul needs 2-D or higher operands, got {sa} and {sb}")
+    if sa[-1] != sb[-2]:
+        raise ValueError(f"matmul: inner dimensions disagree, {sa} x {sb}")
     data = a.data @ b.data
 
     def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+        ga = _unbroadcast(g @ b.data.swapaxes(-1, -2), sa)
+        gb = _unbroadcast(a.data.swapaxes(-1, -2) @ g, sb)
         return ga, gb
 
     return _from_op(data, (a, b), backward)
@@ -160,14 +166,15 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """x @ w + b over the last axis of a (..., d_in) input, with w d_in×d_out
     and b (d_out,). The leading axes are flattened into one, so each
     direction is a single 2-D matrix product."""
-    if w.ndim != 2 or x.ndim < 1 or x.shape[-1] != w.shape[0] or b.shape != w.shape[1:]:
-        raise ValueError(f"linear: shapes disagree, {x.shape} x {w.shape} + {b.shape}")
-    x2 = x.data.reshape(-1, w.shape[0])
-    data = (x2 @ w.data + b.data).reshape(x.shape[:-1] + w.shape[1:])
+    sx, sw, sb = x.data.shape, w.data.shape, b.data.shape
+    if len(sw) != 2 or not sx or sx[-1] != sw[0] or sb != sw[1:]:
+        raise ValueError(f"linear: shapes disagree, {sx} x {sw} + {sb}")
+    x2 = x.data.reshape(-1, sw[0])
+    data = (x2 @ w.data + b.data).reshape(sx[:-1] + sb)
 
     def backward(g):
-        g2 = g.reshape(-1, w.shape[1])
-        return (g2 @ w.data.T).reshape(x.shape), x2.T @ g2, g2.sum(axis=0)
+        g2 = g.reshape(-1, sb[0])
+        return (g2 @ w.data.T).reshape(sx), x2.T @ g2, np.add.reduce(g2, axis=0)
 
     return _from_op(data, (x, w, b), backward)
 
@@ -177,14 +184,14 @@ def reshape(a: Tensor, shape) -> Tensor:
     data = a.data.reshape(shape)
 
     def backward(g):
-        return (g.reshape(a.shape),)
+        return (g.reshape(a.data.shape),)
 
     return _from_op(data, (a,), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
     data = np.ascontiguousarray(a.data.transpose(axes))
-    inverse = None if axes is None else tuple(np.argsort(axes))
+    inverse = None if axes is None else tuple(sorted(range(len(axes)), key=axes.__getitem__))
 
     def backward(g):
         return (g.transpose(inverse),)
@@ -195,18 +202,18 @@ def transpose(a: Tensor, axes=None) -> Tensor:
 def split_heads(x: Tensor, n_heads: int) -> Tensor:
     """(B, L, d) → (B, n_heads, L, d / n_heads), each head's slice of the
     last axis moved ahead of the sequence axis."""
-    b, l, d = x.shape
+    b, l, d = x.data.shape
     data = np.ascontiguousarray(x.data.reshape(b, l, n_heads, d // n_heads).transpose(0, 2, 1, 3))
 
     def backward(g):
-        return (g.transpose(0, 2, 1, 3).reshape(x.shape),)
+        return (g.transpose(0, 2, 1, 3).reshape(b, l, d),)
 
     return _from_op(data, (x,), backward)
 
 
 def merge_heads(x: Tensor) -> Tensor:
     """(B, nh, L, dh) → (B, L, nh * dh), the inverse of split_heads."""
-    b, nh, l, dh = x.shape
+    b, nh, l, dh = x.data.shape
     data = np.ascontiguousarray(x.data.transpose(0, 2, 1, 3)).reshape(b, l, nh * dh)
 
     def backward(g):
@@ -217,12 +224,24 @@ def merge_heads(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor, axis: int = -1) -> Tensor:
     """Stable softmax along one axis (max-subtraction before exp); each
-    direction fills one buffer of x's size in place."""
-    if x.shape == () or x.shape[axis] < 1:
-        raise ValueError(f"softmax: axis {axis} of shape {x.shape} is empty")
-    if not np.isfinite(x.data).all():
+    direction fills one buffer of x's size in place.
+
+    The max is a reduce over the first axis of a copy of x, with the
+    softmax axis moved to the front, written into that buffer first: numpy
+    reduces short contiguous rows slowly, and a max is exact in any order
+    but for the sign of a zero, which exp then loses."""
+    d = x.data
+    if d.shape == () or d.shape[axis] < 1:
+        raise ValueError(f"softmax: axis {axis} of shape {d.shape} is empty")
+    if not np.logical_and.reduce(np.isfinite(d), axis=None):
         raise NonFiniteError("softmax: input contains NaN or Inf")
-    y = x.data - x.data.max(axis=axis, keepdims=True)
+    a = axis % d.ndim
+    pre, n, post = math.prod(d.shape[:a]), d.shape[a], math.prod(d.shape[a + 1:])
+    y = np.empty_like(d)
+    front = y.reshape(n, pre, post)
+    np.copyto(front, d.reshape(pre, n, post).transpose(1, 0, 2))
+    m = np.maximum.reduce(front, axis=0).reshape(d.shape[:a] + (1,) + d.shape[a + 1:])
+    np.subtract(d, m, out=y)
     np.exp(y, out=y)
     y /= np.add.reduce(y, axis=axis, keepdims=True)
 
@@ -251,7 +270,8 @@ def _erf(z: np.ndarray) -> np.ndarray:
     whose derivative is exactly the Gaussian pdf gelu's backward uses."""
     if z.dtype == np.float64:
         return _MATH_ERF(z).astype(np.float64)
-    z = np.clip(z, -4.0, 4.0)
+    z = np.maximum(z, -4.0)  # clamped to [-4, 4]
+    np.minimum(z, 4.0, out=z)
     z2 = z * z
     z *= _horner(z2, _ERF_P)
     z /= _horner(z2, _ERF_Q)
@@ -277,11 +297,11 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
     of gamma and beta, both shaped (d,). Each mean is np.add.reduce, then
     /= d, the arithmetic of np.mean, and every term of either direction is
     written into a buffer the rule already holds."""
-    d = x.shape[-1]
-    if gamma.shape != (d,) or beta.shape != (d,):
+    d = x.data.shape[-1]
+    if gamma.data.shape != (d,) or beta.data.shape != (d,):
         raise ValueError(f"layer_norm: shapes disagree, {x.shape} with gamma {gamma.shape} "
                          f"and beta {beta.shape}")
-    lead = tuple(range(x.ndim - 1))
+    lead = tuple(range(x.data.ndim - 1))
     mu = np.add.reduce(x.data, axis=-1, keepdims=True)
     mu /= d
     xhat = x.data - mu
@@ -299,7 +319,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         # gxhat = g · gamma; tmp holds g·xhat, then gxhat·xhat, then xhat·m2
         tmp = g * xhat
         if lead:
-            gbeta, ggamma = g.sum(axis=lead), tmp.sum(axis=lead)
+            gbeta, ggamma = np.add.reduce(g, axis=lead), np.add.reduce(tmp, axis=lead)
         else:  # nothing to sum, and a sum would turn -0 into +0
             gbeta, ggamma = g.copy(), tmp.copy()
         gxhat = g * gamma.data
@@ -312,7 +332,7 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor) -> Tensor:
         np.multiply(xhat, m2, out=tmp)
         gxhat -= tmp
         gxhat *= inv_std
-        return gxhat.astype(x.dtype, copy=False), ggamma, gbeta
+        return gxhat.astype(x.data.dtype, copy=False), ggamma, gbeta
 
     return _from_op(data, (x, gamma, beta), backward)
 
@@ -329,8 +349,9 @@ def dropout(x: Tensor, p: float, *, training: bool = False, rng=None) -> Tensor:
         return x
     if rng is None:
         raise ConfigError("dropout in training mode needs an rng")
-    keep = (rng.random(x.shape) >= p).astype(x.dtype)
-    keep *= np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
+    # the survivor mask times the scale, in one pass: True · s is s, False · s is 0
+    keep = np.multiply(rng.random(x.data.shape) >= p,
+                       np.asarray(1.0 / (1.0 - p), dtype=x.data.dtype))
     data = x.data * keep
 
     def backward(g):
@@ -346,49 +367,73 @@ def embedding_lookup(table: Tensor, ids) -> Tensor:
     if table.ndim != 2:
         raise ValueError(f"embedding_lookup: table must be 2-D, got {table.shape}")
     n = table.shape[0]
-    if ids.size and (ids.min() < 0 or ids.max() >= n):
+    if ids.size and (np.minimum.reduce(ids, axis=None) < 0
+                     or np.maximum.reduce(ids, axis=None) >= n):
         bad = ids[(ids < 0) | (ids >= n)].reshape(-1)[0]
         raise IndexError(f"embedding_lookup: id {bad} out of range [0, {n})")
     data = table.data[ids]
 
     def backward(g):
+        # one add.at over flat element indices, numpy's 1-D fast path: each
+        # element still takes its rows' gradients one by one in row order,
+        # as a row-wise add.at adds them
+        d = table.data.shape[1]
         buf = np.zeros_like(table.data)
-        np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        flat = (ids.reshape(-1, 1) * d + np.arange(d)).reshape(-1)
+        np.add.at(buf.reshape(-1), flat, g.reshape(-1))
         return (buf,)
 
     return _from_op(data, (table,), backward)
 
 
-def cross_entropy(logits: Tensor, targets) -> Tensor:
-    """Mean over the batch of -log softmax(logits)[target].
+def cross_entropy(logits, targets, terms=None) -> Tensor:
+    """Mean over the batch of -log softmax(logits)[target]; or, given a
+    sequence of logits tensors and one of targets, the sum of their means
+    in one node, added left to right as add would: (l0 + l1) + l2.
 
-    targets is an integer class index per row. Backward is the usual
-    (softmax - one_hot) / batch.
+    Each targets holds an integer class index per row of its logits. Each
+    mean is np.add.reduce, then / B, the arithmetic of np.mean. Backward
+    gives each logits tensor (g / B) · (softmax - one_hot). When terms is a
+    list, each pair's mean is appended to it as a float.
     """
-    if logits.ndim != 2:
-        raise ValueError(f"cross_entropy: logits must be B x C, got {logits.shape}")
-    targets = np.asarray(targets, dtype=np.int64)
-    b, c = logits.shape
-    if targets.shape != (b,):
-        raise ValueError(f"cross_entropy: targets shape {targets.shape} does not match batch {b}")
-    if targets.size and (targets.min() < 0 or targets.max() >= c):
-        bad = targets[(targets < 0) | (targets >= c)][0]
-        raise IndexError(f"cross_entropy: target {bad} out of range [0, {c})")
-    m = logits.data.max(axis=1, keepdims=True)
-    shifted = logits.data - m
-    e = np.exp(shifted)  # kept: backward's softmax divides it by its row sums
-    sums = np.add.reduce(e, axis=1)
-    lse = np.log(sums)
-    rows = np.arange(b)
-    losses = lse - shifted[rows, targets]
-    data = np.asarray(losses.mean(), dtype=logits.dtype)
+    if isinstance(logits, Tensor):
+        logits, targets = (logits,), (targets,)
+    logits, targets = tuple(logits), tuple(targets)
+    if not logits or len(logits) != len(targets):
+        raise ValueError(f"cross_entropy: {len(logits)} logits tensors for "
+                         f"{len(targets)} targets")
+    saved, total = [], None
+    for z, t in zip(logits, targets):
+        if z.ndim != 2:
+            raise ValueError(f"cross_entropy: logits must be B x C, got {z.shape}")
+        t = np.asarray(t, dtype=np.int64)
+        b, c = z.shape
+        if t.shape != (b,):
+            raise ValueError(f"cross_entropy: targets shape {t.shape} does not match batch {b}")
+        if b and (np.minimum.reduce(t) < 0 or np.maximum.reduce(t) >= c):
+            bad = t[(t < 0) | (t >= c)][0]
+            raise IndexError(f"cross_entropy: target {bad} out of range [0, {c})")
+        shifted = z.data - np.maximum.reduce(z.data, axis=1, keepdims=True)
+        e = np.exp(shifted)  # kept: backward's softmax divides it by its row sums
+        sums = np.add.reduce(e, axis=1)
+        rows = np.arange(b)
+        losses = np.log(sums)
+        losses -= shifted[rows, t]
+        value = np.add.reduce(losses) / b
+        total = value if total is None else total + value
+        if terms is not None:
+            terms.append(float(value))
+        saved.append((e, sums, rows, t, b))
 
     def backward(g):
-        p = e / sums[:, None]
-        p[rows, targets] -= 1.0
-        return ((g / b) * p,)
+        grads = []
+        for e, sums, rows, t, b in saved:
+            p = e / sums[:, None]
+            p[rows, t] -= 1.0
+            grads.append((g / b) * p)
+        return grads
 
-    return _from_op(data, (logits,), backward)
+    return _from_op(np.asarray(total), logits, backward)
 
 
 # ---------------------------------------------------------------------------
@@ -408,28 +453,28 @@ def backward(loss: Tensor) -> None:
             loss.grad = seed if loss.grad is None else loss.grad + seed
         return
 
-    # reverse topological order: inputs before the op that consumes them
-    topo = []
-    visited = set()
+    # reverse topological order: inputs before the op that consumes them;
+    # tensors hash by identity, and leaves, which have no rule, stay off
+    # the stack
+    topo, visited = [], set()
     stack = [(loss, False)]
     while stack:
         t, expanded = stack.pop()
         if expanded:
             topo.append(t)
-            continue
-        if t.node is None or id(t) in visited:
-            continue
-        visited.add(id(t))
-        stack.append((t, True))
-        for inp in t.node.inputs:
-            stack.append((inp, False))
+        elif t not in visited:
+            visited.add(t)
+            stack.append((t, True))
+            for inp in t.node.inputs:
+                if inp.node is not None:
+                    stack.append((inp, False))
 
     # per-pass gradient buffers; leaves accumulate straight into .grad, and a
     # leaf's first gradient is copied if it is a view (add's two can view one
     # buffer), so no two leaves share a .grad that one in-place change alters
-    pass_grads = {id(loss): np.ones_like(loss.data)}
+    pass_grads = {loss: np.ones_like(loss.data)}
     for t in reversed(topo):
-        g = pass_grads.pop(id(t), None)
+        g = pass_grads.pop(t, None)
         if g is None:
             continue
         for inp, gi in zip(t.node.inputs, t.node.backward_fn(g)):
@@ -440,12 +485,10 @@ def backward(loss: Tensor) -> None:
                     inp.grad = gi if gi.base is None else gi.copy()
                 else:
                     inp.grad = inp.grad + gi
+            elif inp in pass_grads:
+                pass_grads[inp] = pass_grads[inp] + gi
             else:
-                key = id(inp)
-                if key in pass_grads:
-                    pass_grads[key] = pass_grads[key] + gi
-                else:
-                    pass_grads[key] = gi
+                pass_grads[inp] = gi
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,14 @@ def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
     corpus_path = _require(cfg, "data", args.command)
     out = Path(_require(cfg, "out", args.command))
-    schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
+    try:
+        schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
+    except ConfigError as e:
+        if e.field not in _PRETRAIN_KEYS:
+            raise
+        # the field goes by another key here; name the flag and key the user set
+        key = _PRETRAIN_KEYS[e.field]
+        raise ConfigError(f"{_flag(args.command, key)} (config key {key!r}) {e.detail}") from None
     raw = read_utf8(corpus_path)
     emoji_map = _load_emoji_map(cfg)
     sentences, vocab, config = _fresh_encoder(raw.split("\n"), cfg, emoji_map,

@@ -208,11 +208,11 @@ class PretrainSchedule:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigError(f"steps must be >= 1, got {self.steps}")
+            raise ConfigError(f"must be >= 1, got {self.steps}", "steps")
         check_schedule(self)
         check_warmup(self.warmup_steps, self.steps)
         if not 0.0 < self.mask_rate <= 1.0:
-            raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
+            raise ConfigError(f"must be in (0, 1], got {self.mask_rate}", "mask_rate")
 
 
 def _mask_tokens(ids, mask, rate, vocab_size, rng):
@@ -278,7 +278,7 @@ def pretrain_mlm(corpus, vocab: Vocab, config: EncoderConfig,
         b, l, d = h.shape
         rows = embedding_lookup(reshape(h, (b * l, d)), positions)
         logits = linear(rows, transpose(params["encoder.tok_emb"]), params["encoder.mlm_bias"])
-        return [cross_entropy(logits, targets)]
+        return cross_entropy(logits, targets), ()
 
     trace = run_steps(opt, range(schedule.steps), mlm_loss, 0, schedule.steps, schedule)
-    return params, [loss for _, _, loss, _ in trace]
+    return params, [loss for _, _, loss in trace]

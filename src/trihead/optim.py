@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
-from functools import reduce
+import math
 
 import numpy as np
 
-from .autograd import add, backward
+from .autograd import backward
 from .errors import ConfigError, DivergenceError, NonFiniteError
 
 
@@ -37,13 +37,13 @@ def check_schedule(config) -> None:
     """The checks TrainConfig and PretrainSchedule share, on batch_size,
     base_lr, warmup_steps and seed."""
     if config.batch_size < 1:
-        raise ConfigError(f"batch_size must be >= 1, got {config.batch_size}")
+        raise ConfigError(f"must be >= 1, got {config.batch_size}", "batch_size")
     if not 0 < config.base_lr < np.inf:
-        raise ConfigError(f"base_lr must be positive and finite, got {config.base_lr}")
+        raise ConfigError(f"must be positive and finite, got {config.base_lr}", "base_lr")
     if config.warmup_steps < 0:
-        raise ConfigError("warmup_steps must be nonnegative")
+        raise ConfigError("must be nonnegative", "warmup_steps")
     if config.seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
+        raise ConfigError(f"must be nonnegative, got {config.seed}", "seed")
 
 
 # the AdamW defaults of Loshchilov & Hutter, Decoupled Weight Decay
@@ -53,18 +53,23 @@ WEIGHT_DECAY = 0.01
 MAX_GRAD_NORM = 1.0
 
 
-def clip_global_norm(grad, offsets, sq) -> float:
+def clip_global_norm(grad, groups, order, sq) -> float:
     """Scale a flat gradient buffer in place so its L2 norm is at most
-    MAX_GRAD_NORM; returns the pre-clip norm. grad holds one tensor per
-    [offsets[i], offsets[i+1]) span, and sq is a float64 buffer of grad's
-    size that takes the squares: each span is summed on its own and the
-    sums added in order, the arithmetic of a per-tensor loop."""
-    sq[...] = grad
-    np.square(sq, out=sq)
+    MAX_GRAD_NORM; returns the pre-clip norm. grad holds its tensors
+    grouped by size: groups lists, per size, its [lo, hi) span of grad and
+    that span's (count, size) shape, and sq is a float64 buffer of grad's
+    size that takes the squares. Each group is one float64 reduce over the
+    last axis of its shape, one sum per tensor; order holds, in table order, the position of each
+    tensor's sum among them, and the sums are added in that order: the
+    arithmetic of a per-tensor loop over the table."""
+    np.square(grad, out=sq, dtype=np.float64)
+    sums = []
+    for lo, hi, shape in groups:
+        sums += np.add.reduce(sq[lo:hi].reshape(shape), axis=1).tolist()
     total = 0.0  # a plain loop: sum() compensates float rounding from Python 3.12 on
-    for lo, hi in zip(offsets, offsets[1:]):
-        total += float(np.add.reduce(sq[lo:hi]))
-    norm = float(np.sqrt(total))
+    for i in order:
+        total += sums[i]
+    norm = math.sqrt(total)
     if norm > MAX_GRAD_NORM:
         grad *= MAX_GRAD_NORM / norm
     return norm
@@ -74,17 +79,19 @@ class AdamW:
     """Decoupled weight decay Adam over a name → Tensor parameter table.
 
     The table's trainable tensors (requires_grad=True) move into one flat
-    buffer that each of their Tensor.data then views; m, v and the gathered
-    gradients are flat buffers of the same layout (the foreach idea of
-    PyTorch's AdamW), so a step is one gather, one global-norm clip and a
-    few vector ops over the whole buffer, with the arithmetic of a
-    per-tensor loop. The step writes every intermediate into buffers made
-    here (float64 squares for the norm, whose bytes then serve as the
-    update's scratch, and the gathered gradients once v is updated), so it
-    allocates nothing of the table's size; each Tensor.grad keeps its
-    unclipped values. Frozen tensors keep their own storage and are never
-    clipped, decayed or moved. Every trainable tensor must hold a gradient
-    at each step, and all of them one dtype.
+    buffer that each of their Tensor.data then views, grouped by size in
+    order of each size's first appearance, so the clip sums each size in
+    one reduce; m, v and the gathered gradients are flat buffers of the
+    same layout (the foreach idea of PyTorch's AdamW), so a step is one
+    gather, one global-norm clip and a few vector ops over the whole
+    buffer, with the arithmetic of a per-tensor loop. The step writes
+    every intermediate into buffers made here (float64 squares for the
+    norm, whose bytes then serve as the update's scratch, and the gathered
+    gradients once v is updated), so it allocates nothing of the table's
+    size; each Tensor.grad keeps its unclipped values. Frozen tensors keep
+    their own storage and are never clipped, decayed or moved. Every
+    trainable tensor must hold a gradient at each step, and all of them
+    one dtype.
     """
 
     def __init__(self, params: dict):
@@ -95,10 +102,22 @@ class AdamW:
             raise ConfigError(f"AdamW: the trainable tensors must hold one dtype, "
                               f"got {sorted(str(d) for d in dtypes)}")
         self.t = 0
-        self._offsets = np.cumsum([0, *(p.data.size for p in self._trainable.values())]).tolist()
-        self._data = np.concatenate([p.data for p in self._trainable.values()], axis=None)
-        for p, lo, hi in zip(self._trainable.values(), self._offsets, self._offsets[1:]):
-            p.data = self._data[lo:hi].reshape(p.data.shape)
+        tensors = list(self._trainable.values())
+        by_size = {}  # size -> table positions, sizes in order of first appearance
+        for i, p in enumerate(tensors):
+            by_size.setdefault(p.data.size, []).append(i)
+        placed = [i for positions in by_size.values() for i in positions]
+        self._placed = [tensors[i] for i in placed]  # in buffer order
+        # the clip's per-tensor sums come in buffer order; it adds them in table order
+        self._sum_order = sorted(range(len(placed)), key=placed.__getitem__)
+        self._data = np.concatenate([p.data for p in self._placed], axis=None)
+        self._groups, lo = [], 0
+        for n, positions in by_size.items():
+            shape, hi = (len(positions), n), lo + n * len(positions)
+            self._groups.append((lo, hi, shape))
+            for i, row in zip(positions, self._data[lo:hi].reshape(shape)):
+                tensors[i].data = row.reshape(tensors[i].data.shape)
+            lo = hi
         self._grad = np.empty_like(self._data)
         self._sq = np.empty(self._data.shape, dtype=np.float64)
         # the squares are spent once the norm is known; their bytes then
@@ -114,12 +133,11 @@ class AdamW:
         missing = [k for k, p in self._trainable.items() if p.grad is None]
         if missing:
             raise RuntimeError(f"AdamW: no gradient for the trainable tensors {missing}")
-        g = np.concatenate([p.grad for p in self._trainable.values()], axis=None,
-                           out=self._grad)
-        norm = clip_global_norm(g, self._offsets, self._sq)
+        g = np.concatenate([p.grad for p in self._placed], axis=None, out=self._grad)
+        norm = clip_global_norm(g, self._groups, self._sum_order, self._sq)
         # NaN > 1 is false, so a NaN norm would pass unclipped into the
         # parameters and surface only at the next step
-        if not np.isfinite(norm):
+        if not math.isfinite(norm):
             raise NonFiniteError(f"gradient norm {norm}")
         self.t += 1
         bc1 = 1.0 - BETA1 ** self.t
@@ -153,24 +171,24 @@ class AdamW:
 
 
 def run_steps(opt: AdamW, batches, loss_terms, first: int, total_steps: int, schedule) -> list:
-    """One optimizer step per batch, numbered from first: sum loss_terms(batch),
-    a list of scalar Tensors, left to right; backward, then opt.step, which
-    clips the global gradient norm and updates at lr_at(step, total_steps,
-    schedule). Returns a (step, lr, loss, *term values) row per step. A
-    NonFiniteError from loss_terms, or a non-finite loss or gradient norm,
-    raises DivergenceError(step); so do non-finite parameters after the
-    last step."""
+    """One optimizer step per batch, numbered from first: loss_terms(batch)
+    returns the step's scalar loss Tensor and the float values of the
+    terms it sums; backward, then opt.step, which clips the global gradient
+    norm and updates at lr_at(step, total_steps, schedule). Returns a
+    (step, lr, loss, *term values) row per step. A NonFiniteError from
+    loss_terms, or a non-finite loss or gradient norm, raises
+    DivergenceError(step); so do non-finite parameters after the last
+    step."""
     rows = []
     for step, batch in enumerate(batches, start=first):
         try:
-            terms = loss_terms(batch)
+            loss, terms = loss_terms(batch)
         except NonFiniteError:
             # activations blew up before the loss could; same disease
             raise DivergenceError(step) from None
         lr = lr_at(step, total_steps, schedule)
-        loss = reduce(add, terms)
         value = loss.item()
-        if not np.isfinite(value):
+        if not math.isfinite(value):
             raise DivergenceError(step)
         opt.zero_grad()
         backward(loss)
@@ -178,7 +196,7 @@ def run_steps(opt: AdamW, batches, loss_terms, first: int, total_steps: int, sch
             opt.step(lr)
         except NonFiniteError:
             raise DivergenceError(step, "gradient norm") from None
-        rows.append((step, lr, value, *(term.item() for term in terms)))
+        rows.append((step, lr, value, *terms))
     # an update that overflows leaves non-finite weights; the next step's
     # loss catches those it reads, and this check the rest
     if rows and not np.isfinite(opt._data).all():

@@ -234,7 +234,10 @@ def train(dataset, config: TrainConfig, encoder: EncoderConfig, vocab: Vocab,
     def task_losses(pick):
         logits = forward_logits(params, encoder, config.pooler, encoded.cut(pick),
                                 mode="train", rng=rng_drop)
-        return [cross_entropy(logits[t], targets[t][pick]) for t in TASKS]
+        terms = []
+        loss = cross_entropy([logits[t] for t in TASKS], [targets[t][pick] for t in TASKS],
+                             terms)
+        return loss, terms
 
     trace: list[TraceRow] = []
     dev_history: list[MetricsReport] = []

@@ -3,6 +3,7 @@
 import inspect
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -220,8 +221,9 @@ def test_two_leaves_never_share_a_gradient_buffer():
     backward(cross_entropy(add(a, b), [0]))
     assert not np.shares_memory(a.grad, b.grad)
     grad = np.concatenate([a.grad, b.grad], axis=None)  # AdamW's gather
-    assert clip_global_norm(grad, [0, 3, 6], np.empty(6)) == pytest.approx(2 / np.sqrt(3),
-                                                                            rel=1e-6)
+    # the two size-3 tensors are one group of AdamW's layout
+    assert clip_global_norm(grad, [(0, 6, (2, 3))], [0, 1], np.empty(6)) == pytest.approx(
+        2 / np.sqrt(3), rel=1e-6)
     norm = np.sqrt(float(np.sum(grad.astype(np.float64) ** 2)))
     assert norm == pytest.approx(MAX_GRAD_NORM, rel=1e-6)
 
@@ -656,6 +658,86 @@ def test_cross_entropy_gives_the_former_rules_bits(case):
                (logits,), np.asarray(rng.normal(), dtype=g_dtype))
 
 
+def cross_entropy_node_ref(logits, targets):
+    """The one-pair cross_entropy rule the loss node replaced, verbatim but
+    for returning (output, backward) in place of a Tensor."""
+    targets = np.asarray(targets, dtype=np.int64)
+    b, c = logits.shape
+    m = logits.data.max(axis=1, keepdims=True)
+    shifted = logits.data - m
+    e = np.exp(shifted)  # kept: backward's softmax divides it by its row sums
+    sums = np.add.reduce(e, axis=1)
+    lse = np.log(sums)
+    rows = np.arange(b)
+    losses = lse - shifted[rows, targets]
+    data = np.asarray(losses.mean(), dtype=logits.dtype)
+
+    def backward(g):
+        p = e / sums[:, None]
+        p[rows, targets] -= 1.0
+        return ((g / b) * p,)
+
+    return data, backward
+
+
+def summed_cross_entropy_ref(logits, targets):
+    """The graph the loss node replaced: one cross_entropy node per pair,
+    their values added left to right by add nodes, (l0 + l1) + l2. Returns
+    the sum, each term's value as the step loop read it, and a backward
+    that walks the adds back to every logits tensor."""
+    parts = [cross_entropy_node_ref(z, t) for z, t in zip(logits, targets)]
+    left, adds = parts[0][0], []
+    for data, _ in parts[1:]:
+        # add_ref reads .data and .shape; a Tensor would make the 0-d value 1-d
+        left, add_backward = add_ref(SimpleNamespace(data=left, shape=left.shape),
+                                     SimpleNamespace(data=data, shape=data.shape))
+        adds.append(add_backward)
+
+    def backward(g):
+        upstream = []
+        for add_backward in reversed(adds):
+            g, g_right = add_backward(g)
+            upstream.append(g_right)
+        upstream.append(g)
+        return tuple(part_backward(gi)[0]
+                     for (_, part_backward), gi in zip(parts, reversed(upstream)))
+
+    # each value as Tensor.item() read it
+    return np.asarray(left), backward, [float(data.reshape(-1)[0]) for data, _ in parts]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(st.sampled_from([np.float32, np.float64]), st.booleans(),
+       st.lists(st.tuples(st.integers(1, 9), st.integers(2, 5)), min_size=1, max_size=3),
+       st.sampled_from([1e-3, 1.0, 30.0]), st.integers(0, 2**32 - 1))
+def test_the_loss_node_gives_the_bits_of_per_task_nodes_and_adds(dtype, g64, pairs, size,
+                                                                 seed):
+    # one to three (batch, classes) pairs; the three heads share a batch,
+    # but the node does not need them to
+    rng = np.random.default_rng(seed)
+    logits = [Tensor(size * rng.normal(size=shape), requires_grad=True, dtype=dtype)
+              for shape in pairs]
+    targets = [rng.integers(0, c, size=b) for b, c in pairs]
+    terms = []
+    out = cross_entropy(logits, targets, terms)
+    want, want_backward, want_terms = summed_cross_entropy_ref(logits, targets)
+    assert_same_bits(out.data, want)
+    assert terms == want_terms
+    g = np.asarray(rng.normal(), dtype=np.float64 if g64 else dtype)
+    got_grads, want_grads = out.node.backward_fn(g), want_backward(g)
+    assert len(got_grads) == len(want_grads) == len(logits)
+    for got, ref_grad in zip(got_grads, want_grads):
+        assert_same_bits(got, ref_grad)
+
+
+def test_the_loss_node_wants_one_targets_per_logits():
+    z = Tensor(np.zeros((2, 3)), requires_grad=True)
+    with pytest.raises(ValueError, match=r"^cross_entropy: 2 logits tensors for 1 targets$"):
+        cross_entropy([z, z], [[0, 1]])
+    with pytest.raises(ValueError, match=r"^cross_entropy: 0 logits tensors for 0 targets$"):
+        cross_entropy([], [])
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=300)
 @given(rule_cases(), st.lists(st.booleans(), min_size=4, max_size=4),
        st.sampled_from([(True, True), (True, False), (False, True)]))
@@ -688,6 +770,248 @@ def test_add_leaves_a_constant_operand_alone():
     assert bias.grad is sentinel
     np.testing.assert_array_equal(sentinel, np.full(3, 7.0))
     np.testing.assert_array_equal(x.grad, np.ones((2, 3)))
+
+
+def erf_ref(z):
+    """_erf before its clamp left np.clip, verbatim."""
+    if z.dtype == np.float64:
+        return autograd._MATH_ERF(z).astype(np.float64)
+    z = np.clip(z, -4.0, 4.0)
+    z2 = z * z
+    z *= autograd._horner(z2, autograd._ERF_P)
+    z /= autograd._horner(z2, autograd._ERF_Q)
+    return z
+
+
+def gelu_ref(x):
+    inv_sqrt2 = x.dtype.type(autograd._INV_SQRT2)
+    inv_sqrt2pi = x.dtype.type(autograd._INV_SQRT2PI)
+    cdf = 0.5 * (1.0 + erf_ref(x.data * inv_sqrt2))
+    data = x.data * cdf
+
+    def backward(g):
+        pdf = np.exp(-0.5 * x.data * x.data) * inv_sqrt2pi
+        return (g * (cdf + x.data * pdf),)
+
+    return data, backward
+
+
+def dropout_ref(x, p, rng):
+    """The training-mode dropout rule before its mask took one pass, verbatim."""
+    keep = (rng.random(x.shape) >= p).astype(x.dtype)
+    keep *= np.asarray(1.0 / (1.0 - p), dtype=x.dtype)
+    data = x.data * keep
+
+    def backward(g):
+        return (g * keep,)
+
+    return data, backward
+
+
+def embedding_lookup_ref(table, ids):
+    """The embedding rule before its scatter went flat, verbatim."""
+    ids = np.asarray(ids)
+    data = table.data[ids]
+
+    def backward(g):
+        buf = np.zeros_like(table.data)
+        np.add.at(buf, ids.reshape(-1), g.reshape(-1, table.shape[1]))
+        return (buf,)
+
+    return data, backward
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases())
+def test_gelu_gives_the_former_rules_bits(case):
+    # 30 × N(0, 1) reaches past the clamp at ±4 √2 on both sides
+    dtype, g_dtype, shape, size, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(size * rng.normal(size=shape), requires_grad=True, dtype=dtype)
+    check_rule(gelu, gelu_ref, (x,), rng.normal(size=shape).astype(g_dtype))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases(), st.sampled_from([0.1, 0.3, 0.5, 0.9]))
+def test_dropout_gives_the_former_rules_bits_and_draws(case, p):
+    dtype, g_dtype, shape, size, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(size * rng.normal(size=shape), requires_grad=True, dtype=dtype)
+    g = rng.normal(size=shape).astype(g_dtype)
+    check_rule(lambda t: dropout(t, p, training=True, rng=np.random.default_rng(seed)),
+               lambda t: dropout_ref(t, p, np.random.default_rng(seed)), (x,), g)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases(), st.integers(1, 6), st.sampled_from([(5,), (3, 4), (2, 2, 3)]))
+def test_embedding_lookup_gives_the_former_rules_bits(case, n_rows, ids_shape):
+    # few rows, so ids repeat and each row's gradients add up in order
+    dtype, g_dtype, shape, size, seed = case
+    rng = np.random.default_rng(seed)
+    table = Tensor(size * rng.normal(size=(n_rows, shape[-1])), requires_grad=True,
+                   dtype=dtype)
+    ids = rng.integers(0, n_rows, size=ids_shape)
+    check_rule(lambda t: embedding_lookup(t, ids), lambda t: embedding_lookup_ref(t, ids),
+               (table,), (size * rng.normal(size=ids_shape + shape[-1:])).astype(g_dtype))
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(rule_cases(), st.sampled_from([-1, 0]))
+def test_softmax_on_signed_zeros_and_ties_gives_the_former_rules_bits(case, axis):
+    # the row max comes from another reduction order now; only a zero's
+    # sign could tell, and exp erases it
+    dtype, g_dtype, shape, _, seed = case
+    rng = np.random.default_rng(seed)
+    x = Tensor(rng.choice([-0.0, 0.0, -1.0, 1.0, 2.5], size=shape), requires_grad=True,
+               dtype=dtype)
+    check_rule(lambda t: softmax(t, axis=axis), lambda t: softmax_ref(t, axis=axis), (x,),
+               rng.normal(size=shape).astype(g_dtype))
+
+
+def backward_ref(loss):
+    """The graph walk this engine had before it keyed by the tensor itself,
+    verbatim: id() keys, and leaves pushed onto the stack and skipped."""
+    if loss.size != 1:
+        raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+    if loss.node is None:
+        if loss.requires_grad:
+            seed = np.ones_like(loss.data)
+            loss.grad = seed if loss.grad is None else loss.grad + seed
+        return
+
+    # reverse topological order: inputs before the op that consumes them
+    topo = []
+    visited = set()
+    stack = [(loss, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if expanded:
+            topo.append(t)
+            continue
+        if t.node is None or id(t) in visited:
+            continue
+        visited.add(id(t))
+        stack.append((t, True))
+        for inp in t.node.inputs:
+            stack.append((inp, False))
+
+    pass_grads = {id(loss): np.ones_like(loss.data)}
+    for t in reversed(topo):
+        g = pass_grads.pop(id(t), None)
+        if g is None:
+            continue
+        for inp, gi in zip(t.node.inputs, t.node.backward_fn(g)):
+            if gi is None or not inp.requires_grad:
+                continue
+            if inp.node is None:
+                if inp.grad is None:
+                    inp.grad = gi if gi.base is None else gi.copy()
+                else:
+                    inp.grad = inp.grad + gi
+            else:
+                key = id(inp)
+                if key in pass_grads:
+                    pass_grads[key] = pass_grads[key] + gi
+                else:
+                    pass_grads[key] = gi
+
+
+GRAPH_OPS = (
+    lambda a, b, c: add(a, b),
+    lambda a, b, c: scale(a, c),
+    lambda a, b, c: gelu(a),
+    lambda a, b, c: softmax(add(a, b)),
+    lambda a, b, c: transpose(transpose(a)),
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.integers(1, 3),
+       st.lists(st.tuples(st.integers(0, len(GRAPH_OPS) - 1), st.floats(0, 1, exclude_max=True),
+                          st.floats(0, 1, exclude_max=True), st.sampled_from([-1.5, 0.5, 3.0])),
+                min_size=1, max_size=12),
+       st.integers(0, 2**32 - 1))
+def test_the_walk_gives_the_former_walks_bits_on_shared_graphs(n_leaves, ops, seed):
+    # each op takes its operands from every tensor made so far, leaves
+    # included, so leaves are shared and interior tensors fan out into
+    # diamonds; float32 sums show any change in the order gradients add up
+    rng = np.random.default_rng(seed)
+    leaves = [Tensor(rng.normal(size=(2, 3)), requires_grad=True) for _ in range(n_leaves)]
+    pool = list(leaves)
+    for op, i, j, c in ops:
+        pool.append(GRAPH_OPS[op](pool[int(i * len(pool))], pool[int(j * len(pool))], c))
+    loss = project(add(pool[-1], pool[len(pool) // 2]), rng.normal(size=(2, 3)))
+    backward(loss)
+    got = [leaf.grad for leaf in leaves]
+    for leaf in leaves:
+        leaf.grad = None
+    backward_ref(loss)
+    for leaf, grad in zip(leaves, got):
+        if leaf.grad is None:
+            assert grad is None
+        else:
+            assert_same_bits(grad, leaf.grad)
+
+
+def test_backward_from_a_leaf_seeds_its_gradient_and_a_constant_takes_none():
+    x = Tensor(np.float32(3.0), requires_grad=True)
+    backward(x)
+    backward(x)  # a second call adds another seed
+    assert x.grad.dtype == np.float32
+    np.testing.assert_array_equal(x.grad, [2.0])
+    c = Tensor(np.float32(3.0))
+    backward(c)
+    assert c.grad is None
+
+
+def test_the_walk_skips_a_tensor_that_received_no_gradient():
+    # a rule may give an input no gradient (None); the walk then reaches
+    # that input with nothing to push, and its own inputs get nothing from it
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    w = Tensor([0.5, -0.5], requires_grad=True)
+    cut = scale(scale(x, 2.0), 3.0)
+    cut.node.backward_fn = lambda g: (None,)
+    backward(total(add(cut, w)))
+    assert x.grad is None
+    np.testing.assert_array_equal(w.grad, [1.0, 1.0])
+
+
+def test_a_tensor_holds_float32_or_float64_only():
+    with pytest.raises(ConfigError,
+                       match=r"^Tensor dtype must be float32 or float64, got int64$"):
+        Tensor([1, 2], dtype=np.int64)
+
+
+def test_matmul_names_both_shapes_when_it_refuses():
+    with pytest.raises(ValueError, match=r"^matmul needs 2-D or higher operands, "
+                                         r"got \(2,\) and \(2, 1\)$"):
+        matmul(Tensor([1.0, 2.0]), Tensor([[1.0], [2.0]]))
+    with pytest.raises(ValueError, match=r"^matmul: inner dimensions disagree, "
+                                         r"\(2, 3\) x \(4, 1\)$"):
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 1))))
+
+
+def test_grad_check_refuses_a_step_that_is_not_positive_and_a_non_scalar_f():
+    x = Tensor([1.0, 2.0], dtype=np.float64)
+    with pytest.raises(ValueError, match=r"^eps must be positive, got 0.0$"):
+        grad_check(total, x, eps=0.0)
+    with pytest.raises(ValueError, match=r"^grad_check needs a scalar-valued f, "
+                                         r"got shape \(2,\)$"):
+        grad_check(lambda t: scale(t, 2.0), x)
+
+
+def test_the_shape_refusals_name_the_shape():
+    with pytest.raises(ValueError, match=r"^softmax: axis -1 of shape \(2, 0\) is empty$"):
+        softmax(Tensor(np.zeros((2, 0))))
+    with pytest.raises(ValueError, match=r"^embedding_lookup: table must be 2-D, got \(4,\)$"):
+        embedding_lookup(Tensor(np.zeros(4)), [0])
+    with pytest.raises(ValueError, match=r"^cross_entropy: logits must be B x C, got \(3,\)$"):
+        cross_entropy(Tensor(np.zeros(3)), [0])
+
+
+def test_a_tensor_shows_its_shape_and_whether_it_takes_gradient():
+    assert repr(Tensor(np.zeros((2, 3)))) == "Tensor(shape=(2, 3))"
+    assert repr(Tensor(np.zeros(2), requires_grad=True)) == "Tensor(shape=(2,), requires_grad=True)"
 
 
 ACTIVATION = (8, 48, 64)

@@ -257,9 +257,36 @@ def test_a_corpus_with_no_usable_sentence_is_a_data_error_naming_it(tmp_path, ca
 
 
 def test_pretrain_with_zero_steps_is_a_config_error(tmp_path, capsys):
+    # named by the flag and the config key that set it, from either
+    message = "error: --steps (config key 'pretrain_steps') must be >= 1, got 0\n"
     code, out, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "0",
                          "--out", str(tmp_path / "pre"))
-    assert (code, out, err) == (2, "", "error: steps must be >= 1, got 0\n")
+    assert (code, out, err) == (2, "", message)
+    config = tmp_path / "run.json"
+    config.write_text(json.dumps({"pretrain_steps": 0}))
+    code, out, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--config", str(config),
+                         "--out", str(tmp_path / "pre"))
+    assert (code, out, err) == (2, "", message)
+    assert not (tmp_path / "pre").exists()
+
+
+@pytest.mark.parametrize("flag, key, value, detail", [
+    ("--batch-size", "pretrain_batch_size", 0, "must be >= 1, got 0"),
+    ("--lr", "pretrain_lr", -1.0, "must be positive and finite, got -1.0"),
+    ("--mask-rate", "pretrain_mask_rate", 1.5, "must be in (0, 1], got 1.5"),
+], ids=["batch-size", "lr", "mask-rate"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_a_pretrain_schedule_refusal_names_its_flag_and_config_key(tmp_path, capsys, flag, key,
+                                                                  value, detail, source):
+    if source == "flag":
+        given = [flag, str(value)]
+    else:
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps({key: value}))
+        given = ["--config", str(config)]
+    code, out, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "3", *given,
+                         "--out", str(tmp_path / "pre"))
+    assert (code, out, err) == (2, "", f"error: {flag} (config key {key!r}) {detail}\n")
     assert not (tmp_path / "pre").exists()
 
 
@@ -507,11 +534,11 @@ def test_nan_gradient_exits_4_at_the_poisoned_step(tmp_path, capsys, monkeypatch
     real_clip = clip_global_norm
     calls = []
 
-    def poison_step_2(grad, offsets, sq):
+    def poison_step_2(grad, *layout):
         if len(calls) == 2:
             grad[0] = np.nan
-        calls.append(len(offsets) - 1)
-        return real_clip(grad, offsets, sq)
+        calls.append(grad.size)
+        return real_clip(grad, *layout)
 
     # both loops clip inside optim.AdamW.step, never on their own;
     # trihead.train is also the name of a function, so import the module

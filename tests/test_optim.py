@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from trihead.autograd import Tensor
 from trihead.errors import ConfigError, DivergenceError, NonFiniteError
@@ -13,10 +15,12 @@ from trihead.optim import (BETA1, BETA2, EPS, MAX_GRAD_NORM, WEIGHT_DECAY, AdamW
 
 
 def clip(values, offsets):
-    """clip_global_norm over a fresh float32 buffer of values; returns the
-    norm and the clipped buffer."""
+    """clip_global_norm over a fresh float32 buffer of values, each
+    [offsets[i], offsets[i+1]) span a group of one tensor; returns the norm
+    and the clipped buffer."""
     grad = np.array(values, dtype=np.float32)
-    return clip_global_norm(grad, offsets, np.empty(grad.size)), grad
+    groups = [(lo, hi, (1, hi - lo)) for lo, hi in zip(offsets, offsets[1:])]
+    return clip_global_norm(grad, groups, range(len(groups)), np.empty(grad.size)), grad
 
 
 def test_clip_scales_down_to_the_budget():
@@ -177,8 +181,12 @@ def test_flat_adamw_matches_the_per_tensor_loop_bit_for_bit():
         for name, _, _ in TABLE:  # the clip scales AdamW's gathered copy only
             assert flat_params[name].grad.tobytes() == grads[name].tobytes(), name
     assert max(norms[0::2]) < MAX_GRAD_NORM < min(norms[1::2])
-    span = {name: slice(lo, hi)
-            for name, lo, hi in zip(flat._trainable, flat._offsets, flat._offsets[1:])}
+
+    def span_of(p):  # where a tensor's view starts in the flat buffer, in values
+        lo = (p.data.ctypes.data - flat._data.ctypes.data) // flat._data.itemsize
+        return slice(lo, lo + p.data.size)
+
+    span = {name: span_of(p) for name, p in flat._trainable.items()}
     for name, shape, _ in TABLE:
         assert flat_params[name].data.tobytes() == ref_params[name].data.tobytes(), name
         if name in span:
@@ -187,6 +195,60 @@ def test_flat_adamw_matches_the_per_tensor_loop_bit_for_bit():
             assert v.tobytes() == ref._v[name].tobytes(), name
     assert list(span) == ["a", "big", "c", "d"]
     np.testing.assert_array_equal(flat_params["frozen"].data, init["frozen"])  # no decay
+
+
+def clip_global_norm_ref(grad, offsets, sq) -> float:
+    """The clip before AdamW grouped its buffer by size, verbatim: one
+    float64 reduce per tensor of a table-order buffer."""
+    sq[...] = grad
+    np.square(sq, out=sq)
+    total = 0.0  # a plain loop: sum() compensates float rounding from Python 3.12 on
+    for lo, hi in zip(offsets, offsets[1:]):
+        total += float(np.add.reduce(sq[lo:hi]))
+    norm = float(np.sqrt(total))
+    if norm > MAX_GRAD_NORM:
+        grad *= MAX_GRAD_NORM / norm
+    return norm
+
+
+# sizes 6 and 12 repeat; 9,000 is past numpy's 8,192-element buffer
+CLIP_SHAPES = [(6,), (2, 3), (3, 4), (12,), (7,), (4, 4, 2), (9000,), (1,)]
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(st.lists(st.tuples(st.integers(0, len(CLIP_SHAPES) - 1),
+                          st.sampled_from([1e-4, 1e-2, 1.0, 30.0])), min_size=1, max_size=12),
+       st.floats(0, 1, exclude_max=True), st.integers(0, 2**32 - 1))
+def test_the_grouped_clip_gives_the_per_tensor_loops_bits(picks, frozen_at, seed):
+    # a table with repeated sizes and one frozen tensor; the grouped clip
+    # over AdamW's layout against the per-tensor clip over table order
+    rng = np.random.default_rng(seed)
+    shapes = [CLIP_SHAPES[i] for i, _ in picks]
+    table = {f"p{k}": Tensor(rng.normal(size=shape), requires_grad=True)
+             for k, shape in enumerate(shapes)}
+    frozen = Tensor(rng.normal(size=(6,)), requires_grad=False)
+    names = list(table)
+    names.insert(int(frozen_at * (len(names) + 1)), "frozen")
+    table = {name: frozen if name == "frozen" else table[name] for name in names}
+    opt = AdamW(table)
+    for (_, size), p in zip(picks, (t for t in table.values() if t.requires_grad)):
+        p.grad = (size * rng.normal(size=p.shape)).astype(np.float32)
+
+    sizes_in_order = list(dict.fromkeys(p.size for p in table.values() if p.requires_grad))
+    assert [shape[1] for _, _, shape in opt._groups] == sizes_in_order
+    assert [p.size for p in opt._placed] == sorted(
+        (p.size for p in table.values() if p.requires_grad), key=sizes_in_order.index)
+    grad = np.concatenate([p.grad for p in opt._placed], axis=None)
+    norm = clip_global_norm(grad, opt._groups, opt._sum_order, np.empty(grad.size))
+
+    live = [p for p in table.values() if p.requires_grad]
+    want = np.concatenate([p.grad for p in live], axis=None)
+    offsets = np.cumsum([0, *(p.size for p in live)]).tolist()
+    assert norm == clip_global_norm_ref(want, offsets, np.empty(want.size))
+    got = dict(zip(map(id, opt._placed),
+                   np.split(grad, np.cumsum([p.size for p in opt._placed])[:-1])))
+    for p, lo, hi in zip(live, offsets, offsets[1:]):
+        assert got[id(p)].tobytes() == want[lo:hi].tobytes()
 
 
 def test_adamw_names_a_trainable_tensor_without_a_gradient():
@@ -228,9 +290,9 @@ def test_a_non_finite_loss_stops_the_loop_before_backward():
     before = opt._data.tobytes()
 
     def loss_terms(batch):
-        # a finite term and an inf one, built directly, so no overflow
-        # warning fires; their sum is what the loop checks
-        return [Tensor(np.float32(1.0)), Tensor(np.float32(np.inf))]
+        # the sum of a finite term and an inf one, built directly, so no
+        # overflow warning fires; the sum is what the loop checks
+        return Tensor(np.float32(np.inf)), [1.0, np.inf]
 
     schedule = SimpleNamespace(base_lr=0.1, warmup_steps=0)
     with pytest.raises(DivergenceError, match="^non-finite loss at step 3$") as info:

@@ -268,6 +268,24 @@ def test_training_step_graph_has_at_most_69_nodes(monkeypatch):
     assert sizes[0] <= 69
 
 
+def test_a_two_layer_training_step_has_exactly_65_nodes(monkeypatch):
+    # the acceptance shape again: 64 nodes of forward through the heads,
+    # then one loss node takes the three heads' logits and adds their
+    # cross-entropies (three cross_entropy and two add nodes before)
+    optim = importlib.import_module("trihead.optim")
+    real, losses = optim.backward, []
+
+    def measure_then_backward(loss):
+        losses.append((graph_size(loss), len(loss.node.inputs)))
+        return real(loss)
+
+    monkeypatch.setattr(optim, "backward", measure_then_backward)
+    data = toy_dataset(8)
+    train(data, cfg(epochs=1, batch_size=8),
+          *toy_init(data, d_model=32, n_layers=2, d_ff=64, max_len=16))
+    assert losses == [(65, len(TASKS))]
+
+
 def test_every_gradient_of_a_training_step_is_float32(monkeypatch):
     # the CLI's default width, two layers: every op keeps float32, so every
     # parameter's gradient does too
