@@ -41,7 +41,7 @@ DEMOS = ("autograd_basics.py", "text_pipeline.py", "pooling_comparison.py",
          "train_and_score.py", "mlm_pretraining.py")
 DATASET_HEADER = ("id", "text", "aggression", "gender", "communal")
 FROZEN = {"freeze": ["encoder.layer0.", "pooler."]}
-PRETRAIN_CONFIG = {"warmup_steps": 10, "pretrain_mask_rate": 0.25}
+PRETRAIN_CONFIG = {"warmup_steps": 10, "mask_rate": 0.25}
 # id, text, labels; the texts exercise every normalize pass, and a pass
 # skipped where it could have matched shows up in the predictions
 SCRAPED = [

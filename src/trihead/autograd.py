@@ -56,13 +56,11 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "node")
 
     def __init__(self, data, requires_grad=False, dtype=None):
-        if dtype is None:
-            arr = np.asarray(data, dtype=np.float32)
-        else:
-            arr = np.asarray(data, dtype=dtype)
-            if arr.dtype not in (np.float32, np.float64):
-                raise ConfigError(f"Tensor dtype must be float32 or float64, got {arr.dtype}")
-        self.data = np.ascontiguousarray(arr)
+        # C order copies only an array that is not C-contiguous, and keeps a 0-d one 0-d
+        arr = np.asarray(data, dtype=np.float32 if dtype is None else dtype, order="C")
+        if arr.dtype not in (np.float32, np.float64):
+            raise ConfigError(f"Tensor dtype must be float32 or float64, got {arr.dtype}")
+        self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad = None
         self.node = None

@@ -51,17 +51,10 @@ from .train import (
 )
 
 
-# Config keys the PretrainSchedule fields go by where they differ from the
-# field names; its warmup_steps and seed go by theirs.
-_PRETRAIN_KEYS = {"steps": "pretrain_steps", "batch_size": "pretrain_batch_size",
-                  "base_lr": "pretrain_lr", "mask_rate": "pretrain_mask_rate"}
-
-
-def _field_defaults(cls, keys=None) -> dict:
-    """Field defaults under their config keys; the vocabulary sets vocab_size."""
-    keys = keys or {}
-    return {keys.get(f.name, f.name): f.default for f in dataclasses.fields(cls)
-            if f.name != "vocab_size"}
+def _field_defaults(cls) -> dict:
+    """Field defaults under their names, which are their config keys; the
+    vocabulary sets vocab_size."""
+    return {f.name: f.default for f in dataclasses.fields(cls) if f.name != "vocab_size"}
 
 
 # The config keys each command reads, with their defaults: flat on purpose,
@@ -75,7 +68,7 @@ _ENCODER_KEYS = {**_field_defaults(EncoderConfig), "vocab_target_size": 200,
 _COMMAND_KEYS = {
     "train": {**_ENCODER_KEYS, **_field_defaults(TrainConfig), "epochs": 5, "balance": False,
               "dev": None, "encoder": None},
-    "pretrain": {**_ENCODER_KEYS, **_field_defaults(PretrainSchedule, _PRETRAIN_KEYS)},
+    "pretrain": {**_ENCODER_KEYS, **_field_defaults(PretrainSchedule)},
     "eval": {"data": None, **_SEED},
     "stats": {"data": None, **_SEED},
     "predict": _SEED,
@@ -101,11 +94,10 @@ _FILE_TYPES = {
 }
 
 
-def _library_config(cls, cfg: SimpleNamespace, keys=None, **given):
+def _library_config(cls, cfg: SimpleNamespace, **given):
     """cls built from the run config's values for its fields."""
-    keys = keys or {}
-    values = {f.name: getattr(cfg, keys.get(f.name, f.name))
-              for f in dataclasses.fields(cls) if f.name not in given}
+    values = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(cls)
+              if f.name not in given}
     return cls(**values, **given)
 
 
@@ -125,9 +117,7 @@ _PATH_FLAGS = {"eval": ("model",), "predict": ("model", "input", "output"),
 # key with "_" turned into "-"
 _FLAG_NAMES = {
     "train": {"dropout_p": "--dropout"},
-    "pretrain": {"dropout_p": "--dropout", "data": "--corpus", "pretrain_steps": "--steps",
-                 "pretrain_batch_size": "--batch-size", "pretrain_lr": "--lr",
-                 "pretrain_mask_rate": "--mask-rate"},
+    "pretrain": {"dropout_p": "--dropout", "data": "--corpus", "base_lr": "--lr"},
 }
 
 
@@ -351,14 +341,7 @@ def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
     corpus_path = _require(cfg, "data", args.command)
     out = Path(_require(cfg, "out", args.command))
-    try:
-        schedule = _library_config(PretrainSchedule, cfg, _PRETRAIN_KEYS)
-    except ConfigError as e:
-        if e.field not in _PRETRAIN_KEYS:
-            raise
-        # the field goes by another key here; name the flag and key the user set
-        key = _PRETRAIN_KEYS[e.field]
-        raise ConfigError(f"{_flag(args.command, key)} (config key {key!r}) {e.detail}") from None
+    schedule = _library_config(PretrainSchedule, cfg)
     raw = read_utf8(corpus_path)
     emoji_map = _load_emoji_map(cfg)
     sentences, vocab, config = _fresh_encoder(raw.split("\n"), cfg, emoji_map,

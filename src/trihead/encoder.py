@@ -208,11 +208,11 @@ class PretrainSchedule:
 
     def __post_init__(self):
         if self.steps < 1:
-            raise ConfigError(f"must be >= 1, got {self.steps}", "steps")
+            raise ConfigError(f"steps must be >= 1, got {self.steps}")
         check_schedule(self)
         check_warmup(self.warmup_steps, self.steps)
         if not 0.0 < self.mask_rate <= 1.0:
-            raise ConfigError(f"must be in (0, 1], got {self.mask_rate}", "mask_rate")
+            raise ConfigError(f"mask_rate must be in (0, 1], got {self.mask_rate}")
 
 
 def _mask_tokens(ids, mask, rate, vocab_size, rng):
@@ -224,8 +224,6 @@ def _mask_tokens(ids, mask, rate, vocab_size, rng):
     positions, targets = [], []
     for row in range(b):
         cand = np.flatnonzero((mask[row] == 1) & (ids[row] >= len(RESERVED)))
-        if cand.size == 0:
-            continue
         k = max(1, int(round(rate * cand.size)))
         chosen = rng.choice(cand, size=k, replace=False)
         for col in chosen:

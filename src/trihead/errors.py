@@ -6,15 +6,7 @@ matters more than the message wording.
 
 
 class ConfigError(ValueError):
-    """Invalid configuration value or config file (CLI exit code 2).
-
-    A refusal of one library field is "<field> <detail>", and keeps field
-    and detail apart, so a caller can name the setting as its user set it.
-    """
-
-    def __init__(self, message: str, field: str | None = None):
-        super().__init__(message if field is None else f"{field} {message}")
-        self.field, self.detail = field, message
+    """Invalid configuration value or config file (CLI exit code 2)."""
 
 
 class DataError(ValueError):

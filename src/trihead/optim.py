@@ -37,13 +37,13 @@ def check_schedule(config) -> None:
     """The checks TrainConfig and PretrainSchedule share, on batch_size,
     base_lr, warmup_steps and seed."""
     if config.batch_size < 1:
-        raise ConfigError(f"must be >= 1, got {config.batch_size}", "batch_size")
+        raise ConfigError(f"batch_size must be >= 1, got {config.batch_size}")
     if not 0 < config.base_lr < np.inf:
-        raise ConfigError(f"must be positive and finite, got {config.base_lr}", "base_lr")
+        raise ConfigError(f"base_lr must be positive and finite, got {config.base_lr}")
     if config.warmup_steps < 0:
-        raise ConfigError("must be nonnegative", "warmup_steps")
+        raise ConfigError("warmup_steps must be nonnegative")
     if config.seed < 0:
-        raise ConfigError(f"must be nonnegative, got {config.seed}", "seed")
+        raise ConfigError(f"seed must be nonnegative, got {config.seed}")
 
 
 # the AdamW defaults of Loshchilov & Hutter, Decoupled Weight Decay

@@ -472,6 +472,20 @@ def test_detach_shares_storage():
     assert y.dtype == x.dtype and not y.requires_grad
 
 
+def test_a_0d_tensor_stays_0d():
+    assert Tensor(np.float32(2.0)).shape == ()
+    assert Tensor(2.0, dtype=np.float64).shape == ()
+    loss = cross_entropy(Tensor(np.zeros((2, 3)), requires_grad=True), [0, 1])
+    assert loss.shape == () and loss.detach().shape == ()
+
+
+def test_a_tensor_of_a_strided_view_holds_a_contiguous_copy():
+    view = np.arange(6.0, dtype=np.float32).reshape(2, 3).T
+    t = Tensor(view)
+    assert t.data.flags.c_contiguous and not np.shares_memory(t.data, view)
+    np.testing.assert_array_equal(t.data, view)
+
+
 # float32 in, float32 out: every op, forward and backward
 
 F32_OPS = {

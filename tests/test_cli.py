@@ -257,13 +257,13 @@ def test_a_corpus_with_no_usable_sentence_is_a_data_error_naming_it(tmp_path, ca
 
 
 def test_pretrain_with_zero_steps_is_a_config_error(tmp_path, capsys):
-    # named by the flag and the config key that set it, from either
-    message = "error: --steps (config key 'pretrain_steps') must be >= 1, got 0\n"
+    # named by its config key, whether the flag or the file set it
+    message = "error: steps must be >= 1, got 0\n"
     code, out, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "0",
                          "--out", str(tmp_path / "pre"))
     assert (code, out, err) == (2, "", message)
     config = tmp_path / "run.json"
-    config.write_text(json.dumps({"pretrain_steps": 0}))
+    config.write_text(json.dumps({"steps": 0}))
     code, out, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--config", str(config),
                          "--out", str(tmp_path / "pre"))
     assert (code, out, err) == (2, "", message)
@@ -271,9 +271,9 @@ def test_pretrain_with_zero_steps_is_a_config_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, key, value, detail", [
-    ("--batch-size", "pretrain_batch_size", 0, "must be >= 1, got 0"),
-    ("--lr", "pretrain_lr", -1.0, "must be positive and finite, got -1.0"),
-    ("--mask-rate", "pretrain_mask_rate", 1.5, "must be in (0, 1], got 1.5"),
+    ("--batch-size", "batch_size", 0, "must be >= 1, got 0"),
+    ("--lr", "base_lr", -1.0, "must be positive and finite, got -1.0"),
+    ("--mask-rate", "mask_rate", 1.5, "must be in (0, 1], got 1.5"),
 ], ids=["batch-size", "lr", "mask-rate"])
 @pytest.mark.parametrize("source", ["flag", "config"])
 def test_a_pretrain_schedule_refusal_names_its_flag_and_config_key(tmp_path, capsys, flag, key,
@@ -286,7 +286,7 @@ def test_a_pretrain_schedule_refusal_names_its_flag_and_config_key(tmp_path, cap
         given = ["--config", str(config)]
     code, out, err = run(capsys, "pretrain", "--corpus", CORPUS_TXT, "--steps", "3", *given,
                          "--out", str(tmp_path / "pre"))
-    assert (code, out, err) == (2, "", f"error: {flag} (config key {key!r}) {detail}\n")
+    assert (code, out, err) == (2, "", f"error: {key} {detail}\n")
     assert not (tmp_path / "pre").exists()
 
 
@@ -414,6 +414,19 @@ def test_pretrain_warmup_flag_equals_the_config_key(tmp_path, capsys):
                for name in ("flag", "file", "none")}
     assert encoder["flag"] == encoder["file"]
     assert encoder["flag"] != encoder["none"]  # the warmup took effect
+
+
+def test_an_emoji_map_of_only_comments_trains_as_no_map_does(tmp_path, capsys):
+    emoji_map = tmp_path / "emoji.tsv"
+    emoji_map.write_text("# no entries yet\n\n", encoding="utf-8")
+    runs = []
+    for name, given in (("plain", []), ("mapped", ["--emoji-map", str(emoji_map)])):
+        code, out, err = run(capsys, "train", "--data", TRAIN_TSV, *FAST, "--seed", "3",
+                             "--out", str(tmp_path / name), *given)
+        assert (code, err) == (0, "")
+        runs.append([out, *((tmp_path / name / f).read_bytes()
+                            for f in ("model.ckpt", "trace.csv"))])
+    assert runs[0] == runs[1]
 
 
 def test_an_emoji_map_key_normalize_keeps_exits_3(tmp_path, capsys):
@@ -814,33 +827,18 @@ def test_config_keys_and_their_defaults_are_pinned():
                   "warmup_steps": 0, "seed": 42, "pooler": "attention",
                   "freeze": (), "balance": False,
                   "dev": None, "encoder": None},
-        "pretrain": {**shape, "pretrain_steps": 300, "pretrain_batch_size": 8,
-                     "pretrain_lr": 1e-3, "warmup_steps": 0, "pretrain_mask_rate": 0.15,
-                     "seed": 42},
+        "pretrain": {**shape, "steps": 300, "batch_size": 8, "base_lr": 1e-3,
+                     "warmup_steps": 0, "mask_rate": 0.15, "seed": 42},
         "eval": {"data": None, "seed": 42},
         "stats": {"data": None, "seed": 42},
         "predict": {"seed": 42},
         "score": {"seed": 42},
     }
-    # every command agrees on the default of a key it shares, and together
-    # they read the 24 keys of the config format
-    union = {}
-    for table in _COMMAND_KEYS.values():
-        assert all(union.setdefault(key, value) == value for key, value in table.items())
-    assert union == {
-        "d_model": 64, "n_layers": 2, "n_heads": 2, "d_ff": 128, "max_len": 48,
-        "dropout_p": 0.3,
-        "epochs": 5, "batch_size": 8, "base_lr": 2e-5, "warmup_steps": 0,
-        "seed": 42, "pooler": "attention", "freeze": (),
-        "vocab_target_size": 200, "balance": False,
-        "pretrain_steps": 300, "pretrain_batch_size": 8, "pretrain_lr": 1e-3,
-        "pretrain_mask_rate": 0.15,
-        "data": None, "dev": None, "emoji_map": None, "encoder": None, "out": None,
-    }
 
 
 @pytest.mark.parametrize("argv, key", [
-    (["train", "--data", TRAIN_TSV, *FAST], "pretrain_steps"),
+    (["train", "--data", TRAIN_TSV, *FAST], "steps"),
+    (["pretrain", "--corpus", CORPUS_TXT, "--out", "unused"], "pretrain_steps"),
     (["eval", "--model", "unused.ckpt", "--data", TRAIN_TSV], "out"),
     (["stats", "--data", TRAIN_TSV], "out"),
     (["predict", "--model", "unused.ckpt", "--input", TRAIN_TSV, "--output", "unused.tsv"],

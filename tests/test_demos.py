@@ -35,6 +35,11 @@ def test_synthesizer_reproduces_bundled_corpus(tmp_path):
     assert corpus.encode("utf-8") == asset_path("synth_corpus.txt").read_bytes()
 
 
+def test_asset_path_names_an_asset_it_does_not_bundle():
+    with pytest.raises(FileNotFoundError, match=r"^no bundled asset named 'synth_test.tsv'$"):
+        asset_path("synth_test.tsv")
+
+
 @pytest.mark.parametrize("script", ["autograd_basics.py", "text_pipeline.py",
                                     "pooling_comparison.py", "train_and_score.py",
                                     "mlm_pretraining.py"])

@@ -87,6 +87,8 @@ def test_length_mismatch_rejected():
 def test_invalid_label_names_row():
     with pytest.raises(DataError, match="row 1"):
         micro_prf(["NAG", "AGG"], ["NAG", "NAG"], "aggression")
+    with pytest.raises(DataError, match=r"^row 1: invalid predicted aggression label 'AGG'$"):
+        micro_prf(["NAG", "CAG"], ["NAG", "AGG"], "aggression")
 
 
 def test_empty_sequences_rejected():
@@ -153,6 +155,14 @@ def test_overall_is_mean_of_task_f1s():
     f1s = [ts.f1 for ts in report.tasks]
     assert report.overall_micro_f1 == pytest.approx(sum(f1s) / 3)
     assert overall_micro_f1(report) == report.overall_micro_f1
+
+
+def test_overall_wants_one_score_per_task():
+    report = score_triples([triple()], [triple()])
+    two = MetricsReport(tasks=report.tasks[:2], overall_micro_f1=report.overall_micro_f1,
+                        instance_f1=report.instance_f1, n_instances=report.n_instances)
+    with pytest.raises(DataError, match=r"^report has 2 tasks, expected 3$"):
+        overall_micro_f1(two)
 
 
 def test_published_row_arithmetic():

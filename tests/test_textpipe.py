@@ -197,6 +197,13 @@ def test_build_vocab_reserved_ids_fixed():
     assert v.token_of(3) == "[SEP]"
 
 
+def test_token_of_refuses_an_id_outside_the_vocabulary():
+    v = build_vocab(["x y z"], target_size=10)
+    for idx in (-1, v.size):
+        with pytest.raises(IndexError, match=rf"^token id {idx} out of range \[0, {v.size}\)$"):
+            v.token_of(idx)
+
+
 def test_build_vocab_deterministic():
     corpus = ["ek dui tin", "dui tin tin char"]
     a = build_vocab(corpus, 40)
@@ -294,6 +301,11 @@ def test_encode_ids_in_range_and_cls_first(words):
     assert ids.max() < v.size and ids.min() >= 0
     # mask is monotone non-increasing
     assert all(mask[i] >= mask[i + 1] for i in range(len(mask) - 1))
+
+
+def test_batch_encode_refuses_no_texts():
+    with pytest.raises(DataError, match=r"^batch_encode: no texts$"):
+        batch_encode([], build_vocab(["x"], target_size=10), max_len=4)
 
 
 def test_batch_encode_equals_stacked_encode():

@@ -103,6 +103,8 @@ def test_lr_warmup_ramps_and_peaks():
 def test_lr_step_beyond_total_rejected():
     with pytest.raises(ValueError, match="outside"):
         lr_at(101, 100, cfg())
+    with pytest.raises(ValueError, match=r"^total_steps must be >= 1, got 0$"):
+        lr_at(0, 0, cfg())
 
 
 def test_lr_warmup_must_fit_inside_run():
@@ -423,6 +425,17 @@ def test_pretrained_encoder_params_are_used():
     got = result.checkpoint.params["encoder.tok_emb"].data
     want = fresh["encoder.tok_emb"].data
     np.testing.assert_allclose(got, want, atol=1e-6)
+
+
+def test_an_unknown_pooler_kind_is_refused():
+    data = toy_dataset(8)
+    config, vocab = toy_init(data)
+    params = init_model_params(config, "mean", 0)
+    batch = batch_encode([normalize(ex.text) for ex in data], vocab, config.max_len)
+    with pytest.raises(ConfigError, match=r"^unknown pooler kind 'max'$"):
+        forward_logits(params, config, "max", batch)
+    with pytest.raises(ConfigError, match=r"^unknown pooler kind 'max'$"):
+        init_model_params(config, "max", 0)
 
 
 def test_pretrained_params_shape_mismatch_rejected():
